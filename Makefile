@@ -16,11 +16,18 @@ GO ?= go
 # everything.
 RACE_PKGS = ./internal/server/... ./internal/obs/... ./internal/faults/... ./internal/core/... ./internal/scan/... ./internal/engine/... ./internal/load/... ./internal/snap/... ./internal/plan/... ./internal/method/...
 
+# Packages and tests the flake sweep repeats: the snapshot round trips,
+# cancellation and deadline suites, and the concurrent-reader tests —
+# the ones whose outcome could depend on scheduling. `make flake` runs
+# each 50 times; any failure is a determinism bug, not noise.
+FLAKE_PKGS = ./internal/core ./internal/lemp ./internal/balltree ./internal/covertree ./internal/server
+FLAKE_RUN = Snapshot|Cancel|Deadline|ConcurrentSearches|Readers
+
 # Per-target budget for the fuzz smoke (`go test -fuzz` accepts exactly
 # one target per invocation).
 FUZZTIME ?= 10s
 
-.PHONY: all verify build test check vet lint lint-race lint-fix-check perf-gate perf-facts fmt-check precommit race race-subset fuzz-smoke bench bench-shard load-smoke
+.PHONY: all verify build test check vet lint lint-race lint-fix-check perf-gate perf-facts fmt-check precommit race race-subset flake fuzz-smoke bench bench-shard load-smoke
 
 all: check
 
@@ -105,6 +112,11 @@ race:
 ## keep (see RACE_PKGS above); what `make check` runs locally.
 race-subset:
 	$(GO) test -race $(RACE_PKGS)
+
+## flake: repeat the scheduling-sensitive tests 50 times
+## (tier-1 must be deterministic; see FLAKE_RUN above).
+flake:
+	$(GO) test -count=50 -run '$(FLAKE_RUN)' $(FLAKE_PKGS)
 
 ## fuzz-smoke: run each fuzz target for FUZZTIME on top of the committed
 ## regression corpus (internal/data/testdata/fuzz). New crashers found

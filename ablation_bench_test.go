@@ -4,6 +4,7 @@
 package fexipro_test
 
 import (
+	"context"
 	"testing"
 
 	"fexipro/internal/core"
@@ -22,8 +23,8 @@ func runAblation(b *testing.B, profile string, opts core.Options) {
 	for i := 0; i < b.N; i++ {
 		full = 0
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			r.Search(ds.Queries.Row(qi), 1)
-			full += r.Stats().FullProducts
+			_, st, _ := r.SearchContext(context.Background(), ds.Queries.Row(qi), 1)
+			full += st.FullProducts
 		}
 	}
 	b.ReportMetric(float64(full)/float64(ds.Queries.Rows), "fullIP/query")

@@ -97,8 +97,8 @@ func runWorkload(b *testing.B, profile, method string, k int) {
 	for i := 0; i < b.N; i++ {
 		full = 0
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			built.Searcher.Search(ds.Queries.Row(qi), k)
-			full += built.Searcher.Stats().FullProducts
+			_, st, _ := built.Searcher.SearchContext(context.Background(), ds.Queries.Row(qi), k)
+			full += st.FullProducts
 		}
 	}
 	b.ReportMetric(float64(full)/float64(ds.Queries.Rows), "fullIP/query")
@@ -211,7 +211,7 @@ func BenchmarkFig8(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
-					built.Searcher.Search(ds.Queries.Row(qi), 50)
+					built.Searcher.SearchContext(context.Background(), ds.Queries.Row(qi), 50)
 				}
 			}
 		})
@@ -229,8 +229,8 @@ func BenchmarkFig9And12(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				maxFull = 0
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
-					built.Searcher.Search(ds.Queries.Row(qi), 1)
-					if f := built.Searcher.Stats().FullProducts; f > maxFull {
+					_, st, _ := built.Searcher.SearchContext(context.Background(), ds.Queries.Row(qi), 1)
+					if f := st.FullProducts; f > maxFull {
 						maxFull = f
 					}
 				}
@@ -338,7 +338,7 @@ func BenchmarkFig20(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for qi := 0; qi < ds.Queries.Rows; qi++ {
-						built.Searcher.Search(ds.Queries.Row(qi), 1)
+						built.Searcher.SearchContext(context.Background(), ds.Queries.Row(qi), 1)
 					}
 				}
 			})
@@ -384,7 +384,7 @@ func BenchmarkSearchContextOverhead(b *testing.B) {
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SearchContext(ctx, q, k); err != nil {
+			if _, _, err := s.SearchContext(ctx, q, k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -395,7 +395,7 @@ func BenchmarkSearchContextOverhead(b *testing.B) {
 		defer cancel()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SearchContext(ctx, q, k); err != nil {
+			if _, _, err := s.SearchContext(ctx, q, k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -432,7 +432,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SearchContext(ctx, q, k); err != nil {
+			if _, _, err := s.SearchContext(ctx, q, k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -443,7 +443,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			root := obs.NewRoot("search")
 			ctx := obs.ContextWithSpan(context.Background(), root)
-			if _, err := s.SearchContext(ctx, q, k); err != nil {
+			if _, _, err := s.SearchContext(ctx, q, k); err != nil {
 				b.Fatal(err)
 			}
 			root.End()
@@ -456,7 +456,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			root := obs.NewRoot("search")
 			ctx := obs.ContextWithSpan(context.Background(), root)
-			if _, err := eng.SearchContext(ctx, q, k); err != nil {
+			if _, _, err := eng.SearchContext(ctx, q, k); err != nil {
 				b.Fatal(err)
 			}
 			root.End()

@@ -35,7 +35,7 @@ func LoadIndex(path string) (*FEXIPRO, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FEXIPRO{idx: idx, r: core.NewRetriever(idx), shards: 1}, nil
+	return newFEXIPRO(idx, 1, 0), nil
 }
 
 // SearchAbove returns every item whose inner product with q is at least
@@ -45,35 +45,40 @@ func LoadIndex(path string) (*FEXIPRO, error) {
 // (~1e-12 relative); thresholds exactly equal to an item's score are
 // inherently knife-edge.
 func (f *FEXIPRO) SearchAbove(q []float64, t float64) []Result {
-	return convertResults(f.r.SearchAbove(q, t))
+	res, _ := f.SearchAboveContext(context.Background(), q, t)
+	return res
 }
 
 // SearchAboveContext behaves like SearchAbove but honours ctx: on
 // cancellation it returns the (sorted) items found so far with an
 // ErrDeadline-wrapping error; the set may be missing qualifying items.
 func (f *FEXIPRO) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]Result, error) {
-	res, err := f.r.SearchAboveContext(ctx, q, t)
+	res, st, err := f.r.SearchAboveContext(ctx, q, t)
+	f.last = st
 	return convertResults(res), err
 }
 
 // SearchAbove returns every item with qᵀp ≥ t using LEMP's bucketized
 // scan (its native problem formulation).
 func (l *LEMP) SearchAbove(q []float64, t float64) []Result {
-	return convertResults(l.idx.SearchAbove(q, t))
+	res, _ := l.SearchAboveContext(context.Background(), q, t)
+	return res
 }
 
 // SearchAboveContext behaves like SearchAbove but honours ctx: on
 // cancellation it returns the (sorted) items found so far with an
 // ErrDeadline-wrapping error; the set may be missing qualifying items.
 func (l *LEMP) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]Result, error) {
-	res, err := l.idx.SearchAboveContext(ctx, q, t)
+	res, st, err := l.idx.SearchAboveContext(ctx, q, t)
+	l.last = st
 	return convertResults(res), err
 }
 
 // AboveJoin answers the batch above-t task: for every query row, all
 // items with product ≥ t.
 func (l *LEMP) AboveJoin(queries *Matrix, t float64) [][]Result {
-	raw := l.idx.AboveJoin(queries.m, t)
+	raw, st := l.idx.AboveJoin(queries.m, t)
+	l.last = st
 	out := make([][]Result, len(raw))
 	for i, rs := range raw {
 		out[i] = convertResults(rs)
@@ -95,6 +100,7 @@ func (l *LEMP) AboveJoin(queries *Matrix, t float64) [][]Result {
 // preprocessing means scores match the monolithic index to float
 // tolerance rather than bitwise; they remain exact inner products.
 type Dynamic struct {
+	wrap
 	di *core.DynamicIndex
 }
 
@@ -124,7 +130,7 @@ func NewDynamic(initial *Matrix, opts Options) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dynamic{di: di}, nil
+	return &Dynamic{wrap: wrap{s: di}, di: di}, nil
 }
 
 // Shards reports the number of independent catalog shards.
@@ -139,34 +145,21 @@ func (d *Dynamic) Delete(id int) error { return d.di.Delete(id) }
 // Len returns the number of live items.
 func (d *Dynamic) Len() int { return d.di.Len() }
 
-// Search implements Searcher over the live catalog.
-func (d *Dynamic) Search(q []float64, k int) []Result {
-	return convertResults(d.di.Search(q, k))
-}
-
-// SearchContext implements Searcher: on cancellation it returns the
-// best-so-far partial top-k and an ErrDeadline-wrapping error.
-func (d *Dynamic) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
-	res, err := d.di.SearchContext(ctx, q, k)
-	return convertResults(res), err
-}
-
 // SearchAbove returns every live item with qᵀp ≥ t, sorted by
 // descending score.
 func (d *Dynamic) SearchAbove(q []float64, t float64) []Result {
-	return convertResults(d.di.SearchAbove(q, t))
+	res, _ := d.SearchAboveContext(context.Background(), q, t)
+	return res
 }
 
 // SearchAboveContext behaves like SearchAbove but honours ctx,
 // returning the sorted partial result set with an ErrDeadline-wrapping
 // error on cancellation.
 func (d *Dynamic) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]Result, error) {
-	res, err := d.di.SearchAboveContext(ctx, q, t)
+	res, st, err := d.di.SearchAboveContext(ctx, q, t)
+	d.last = st
 	return convertResults(res), err
 }
-
-// LastStats implements Searcher.
-func (d *Dynamic) LastStats() Stats { return convertStats(d.di.Stats()) }
 
 var _ Searcher = (*Dynamic)(nil)
 

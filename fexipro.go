@@ -147,21 +147,29 @@ type Searcher interface {
 	LastStats() Stats
 }
 
-// wrap adapts an internal searcher to the public interface.
+// wrap adapts an internal searcher to the public interface, keeping the
+// stats of its most recent call for LastStats.
 type wrap struct {
-	s search.Searcher
+	s    search.Searcher
+	last search.Stats
 }
 
-func (w wrap) Search(q []float64, k int) []Result {
-	return convertResults(w.s.Search(q, k))
+// Search implements Searcher.
+func (w *wrap) Search(q []float64, k int) []Result {
+	res, _ := w.SearchContext(context.Background(), q, k)
+	return res
 }
 
-func (w wrap) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
-	res, err := search.WithContext(w.s).SearchContext(ctx, q, k)
+// SearchContext implements Searcher: on cancellation it returns the
+// best-so-far partial top-k and an ErrDeadline-wrapping error.
+func (w *wrap) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
+	res, st, err := w.s.SearchContext(ctx, q, k)
+	w.last = st
 	return convertResults(res), err
 }
 
-func (w wrap) LastStats() Stats { return convertStats(w.s.Stats()) }
+// LastStats implements Searcher.
+func (w *wrap) LastStats() Stats { return convertStats(w.last) }
 
 func convertResults(in []topk.Result) []Result {
 	out := make([]Result, len(in))

@@ -34,13 +34,7 @@ type Tree struct {
 	items    *vec.Matrix
 	root     *node
 	leafSize int
-	hook     *faults.Hook
-	stats    search.Stats
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per visited tree node.
-func (t *Tree) SetFaultHook(h *faults.Hook) { t.hook = h }
 
 type node struct {
 	centroid []float64
@@ -139,28 +133,29 @@ func (t *Tree) farthestFrom(from []float64, ids []int) int {
 	return best
 }
 
-// Search implements search.Searcher with depth-first branch-and-bound.
+// Search returns the top-k of q by depth-first branch-and-bound:
+// SearchContext without a deadline.
 func (t *Tree) Search(q []float64, k int) []topk.Result {
-	res, _ := t.SearchContext(context.Background(), q, k)
+	res, _, _ := t.SearchContext(context.Background(), q, k)
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: the descent polls ctx
+// SearchContext implements search.Searcher: the descent polls ctx
 // every search.CheckStride visited nodes and returns the best-so-far
 // partial top-k with an ErrDeadline-wrapping error on cancellation.
-func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	if len(q) != t.items.Cols {
 		panic(fmt.Sprintf("balltree: query dim %d != item dim %d", len(q), t.items.Cols))
 	}
-	t.stats = search.Stats{}
+	var st search.Stats
 	c := topk.New(k)
 	if t.root != nil && k > 0 {
-		s := &scanState{t: t, ctx: ctx, q: q, qNorm: vec.Norm(q), c: c, hook: t.hook, stats: &t.stats}
+		s := &scanState{t: t, ctx: ctx, q: q, qNorm: vec.Norm(q), c: c, hook: faults.HookFrom(ctx), stats: &st}
 		if err := s.descend(t.root); err != nil {
-			return c.Results(), err
+			return c.Results(), st, err
 		}
 	}
-	return c.Results(), nil
+	return c.Results(), st, nil
 }
 
 // scanState carries one branch-and-bound descent's per-query inputs and
@@ -244,9 +239,6 @@ func countItems(n *node) int {
 	return countItems(n.left) + countItems(n.right)
 }
 
-// Stats implements search.Searcher.
-func (t *Tree) Stats() search.Stats { return t.stats }
-
 // Depth returns the height of the tree (leaves have depth 1); used by
 // tests and diagnostics.
 func (t *Tree) Depth() int { return depth(t.root) }
@@ -265,4 +257,4 @@ func depth(n *node) int {
 	return r + 1
 }
 
-var _ search.ContextSearcher = (*Tree)(nil)
+var _ search.Searcher = (*Tree)(nil)

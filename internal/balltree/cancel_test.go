@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fexipro/internal/balltree"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -12,7 +13,7 @@ import (
 // shared suite's invariants (never exact when cut short, true partial
 // scores, unfired-hook determinism) are index-agnostic.
 func TestBallTreeCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		return balltree.New(items, 16)
 	}, "BallTree")
 }

@@ -5,6 +5,7 @@ import (
 
 	"fexipro/internal/balltree"
 	"fexipro/internal/engine"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -18,7 +19,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		Build: func(items *vec.Matrix) *balltree.Tree { return balltree.New(items, 4) },
 		Save:  (*balltree.Tree).Save,
 		Load:  balltree.Load,
-		Searcher: func(tr *balltree.Tree, shards int) searchtest.FaultSearcher {
+		Searcher: func(tr *balltree.Tree, shards int) search.Searcher {
 			if shards == 1 {
 				return engine.New(balltree.NewKernelFromTree(tr), 2)
 			}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -61,10 +62,10 @@ func TestUnsortedScansMore(t *testing.T) {
 
 	rs := core.NewRetriever(sorted)
 	ru := core.NewRetriever(unsorted)
-	rs.Search(q, 1)
-	ru.Search(q, 1)
-	if ru.Stats().Scanned < rs.Stats().Scanned {
-		t.Fatalf("unsorted scanned %d < sorted %d", ru.Stats().Scanned, rs.Stats().Scanned)
+	_, ss, _ := rs.SearchContext(context.Background(), q, 1)
+	_, su, _ := ru.SearchContext(context.Background(), q, 1)
+	if su.Scanned < ss.Scanned {
+		t.Fatalf("unsorted scanned %d < sorted %d", su.Scanned, ss.Scanned)
 	}
 }
 
@@ -91,10 +92,10 @@ func TestPerPartScalingPrunesAtLeastAsWell(t *testing.T) {
 		for j := range q {
 			q[j] = rng.NormFloat64()
 		}
-		rp.Search(q, 1)
-		rg.Search(q, 1)
-		fullPer += rp.Stats().FullProducts
-		fullGlob += rg.Stats().FullProducts
+		_, sp, _ := rp.SearchContext(context.Background(), q, 1)
+		_, sg, _ := rg.SearchContext(context.Background(), q, 1)
+		fullPer += sp.FullProducts
+		fullGlob += sg.FullProducts
 	}
 	if fullPer > fullGlob {
 		t.Fatalf("per-part scaling computed MORE full products (%d) than global (%d)", fullPer, fullGlob)
@@ -120,11 +121,11 @@ func TestCompactIntsExact(t *testing.T) {
 		for j := range q {
 			q[j] = rng.NormFloat64()
 		}
-		got := rc.Search(q, 5)
+		got, sc, _ := rc.SearchContext(context.Background(), q, 5)
 		searchtest.CheckTopK(t, items, q, 5, got, "compact-ints")
-		rw.Search(q, 5)
-		if rw.Stats() != rc.Stats() {
-			t.Fatalf("pruning decisions diverged: %+v vs %+v", rw.Stats(), rc.Stats())
+		_, sw, _ := rw.SearchContext(context.Background(), q, 5)
+		if sw != sc {
+			t.Fatalf("pruning decisions diverged: %+v vs %+v", sw, sc)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 )
@@ -15,7 +16,7 @@ import (
 // sorted scan stops at the first item with ‖q‖·‖p‖ < t, and
 // per-candidate bounds below t discard candidates without full products.
 func (r *Retriever) SearchAbove(q []float64, t float64) []topk.Result {
-	res, _ := r.SearchAboveContext(context.Background(), q, t)
+	res, _, _ := r.SearchAboveContext(context.Background(), q, t)
 	return res
 }
 
@@ -23,17 +24,21 @@ func (r *Retriever) SearchAbove(q []float64, t float64) []topk.Result {
 // polls ctx every search.CheckStride items and returns the sorted
 // best-so-far partial result with an ErrDeadline-wrapping error on
 // cancellation.
-func (r *Retriever) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
-	idx := r.idx
+func (r *Retriever) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, search.Stats, error) {
+	var st search.Stats
+	res, err := r.idx.searchAbove(ctx, faults.HookFrom(ctx), r.qs, q, t, &st)
+	return res, st, err
+}
+
+// searchAbove is the above-t scan over the whole index, preparing q
+// into the caller's scratch qs and adding its work to stats.
+func (idx *Index) searchAbove(ctx context.Context, hook *faults.Hook, qs *queryState, q []float64, t float64, stats *search.Stats) ([]topk.Result, error) {
 	if len(q) != idx.d {
 		panic(fmt.Sprintf("core: query dim %d != item dim %d", len(q), idx.d))
 	}
-	r.stats = search.Stats{}
-	idx.prepareQuery(q, r.qs)
-	qs := r.qs
+	idx.prepareQuery(q, qs)
 	slack := idx.opts.PruneSlack
 	done := ctx.Done()
-	hook := r.hook
 
 	var out []topk.Result
 	for i := 0; i < idx.n; i++ {
@@ -45,16 +50,16 @@ func (r *Retriever) SearchAboveContext(ctx context.Context, q []float64, t float
 		}
 		if qs.qNorm*idx.norms[i] < t {
 			if !idx.opts.Unsorted {
-				r.stats.PrunedByLength += idx.n - i
+				stats.PrunedByLength += idx.n - i
 				break
 			}
-			r.stats.PrunedByLength++
+			stats.PrunedByLength++
 			continue
 		}
-		r.stats.Scanned++
+		stats.Scanned++
 		// The cascade prunes only when a bound drops BELOW t (strictly,
 		// minus the safety margin), so items with qᵀp == t survive.
-		v, ok := idx.coordinateScan(i, qs, t, slack, &r.stats)
+		v, ok := idx.coordinateScan(i, qs, t, slack, stats)
 		if ok && v >= t {
 			out = append(out, topk.Result{ID: idx.perm[i], Score: v})
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,10 +52,10 @@ func TestSearchAboveHighThresholdEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	items, q := searchtest.RandomInstance(rng, 200, 8)
 	r := buildVariant(t, items, "F-SIR")
-	if got := r.SearchAbove(q, 1e18); len(got) != 0 {
+	got, st, _ := r.SearchAboveContext(context.Background(), q, 1e18)
+	if len(got) != 0 {
 		t.Fatalf("expected empty result, got %d", len(got))
 	}
-	st := r.Stats()
 	if st.Scanned != 0 {
 		t.Fatalf("high threshold should terminate immediately, scanned %d", st.Scanned)
 	}
@@ -80,8 +81,7 @@ func TestSearchAbovePrunes(t *testing.T) {
 	items, q := searchtest.RandomInstance(rng, 5000, 16)
 	r := buildVariant(t, items, "F-SIR")
 	top := r.Search(q, 10)
-	r.SearchAbove(q, top[9].Score)
-	st := r.Stats()
+	_, st, _ := r.SearchAboveContext(context.Background(), q, top[9].Score)
 	if st.FullProducts >= 5000 {
 		t.Fatalf("above-t computed all %d products", st.FullProducts)
 	}

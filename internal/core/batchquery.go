@@ -51,7 +51,7 @@ func BatchTopKContext(ctx context.Context, idx *Index, queries *vec.Matrix, k, w
 	if workers == 1 || queries.Rows <= 1 {
 		r := NewRetriever(idx)
 		for _, qi := range order {
-			res, err := r.SearchContext(ctx, queries.Row(qi), k)
+			res, _, err := r.SearchContext(ctx, queries.Row(qi), k)
 			out[qi] = res
 			if err != nil {
 				return out, search.Canceled(err)
@@ -74,7 +74,7 @@ func BatchTopKContext(ctx context.Context, idx *Index, queries *vec.Matrix, k, w
 			defer wg.Done()
 			r := NewRetriever(idx)
 			for _, qi := range part {
-				res, err := r.SearchContext(ctx, queries.Row(qi), k)
+				res, _, err := r.SearchContext(ctx, queries.Row(qi), k)
 				out[qi] = res
 				if err != nil {
 					*slot = err

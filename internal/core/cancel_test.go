@@ -21,7 +21,7 @@ func TestRetrieverCancellation(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+			searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 				idx, err := core.NewIndex(items, mustOptions(t, variant))
 				if err != nil {
 					t.Fatalf("NewIndex(%s): %v", variant, err)
@@ -45,7 +45,7 @@ func mustOptions(t *testing.T, variant string) core.Options {
 // land in the delta scan or inside the main retriever, and both must
 // surface as ErrDeadline with valid partial results.
 func TestDynamicCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		di, err := core.NewDynamicIndex(items, mustOptions(t, "F-SIR"), 0.25)
 		if err != nil {
 			t.Fatalf("NewDynamicIndex: %v", err)
@@ -54,10 +54,10 @@ func TestDynamicCancellation(t *testing.T) {
 	}, "Dynamic/F-SIR")
 }
 
-// TestDynamicHookSurvivesRebuild pins the SetFaultHook contract across
-// main-index rebuilds: after enough mutations to trigger a rebuild, a
-// cancellation fault installed before the rebuild still fires inside the
-// rebuilt main retriever.
+// TestDynamicHookSurvivesRebuild pins that a context-carried fault hook
+// reaches the rebuilt main indexes: after enough mutations to trigger
+// rebuilds, a cancellation fault enabled before them still fires inside
+// the rebuilt main scan.
 func TestDynamicHookSurvivesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	items, q := searchtest.RandomInstance(rng, 200, 8)
@@ -67,10 +67,9 @@ func TestDynamicHookSurvivesRebuild(t *testing.T) {
 	}
 	reg := faults.NewRegistry(31)
 	hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: 1})
-	di.SetFaultHook(hook)
 
-	// Mutate well past the 10% rebuild fraction so the main retriever is
-	// replaced at least once while the hook is installed.
+	// Mutate well past the 10% rebuild fraction so the main index is
+	// replaced at least once after the hook was enabled.
 	for i := 0; i < 100; i++ {
 		row := make([]float64, 8)
 		for j := range row {
@@ -88,12 +87,12 @@ func TestDynamicHookSurvivesRebuild(t *testing.T) {
 	}
 
 	before := hook.Counts().Cancels
-	_, err = di.SearchContext(context.Background(), q, 5)
+	_, _, err = di.SearchContext(faults.WithHook(context.Background(), hook), q, 5)
 	if !errors.Is(err, search.ErrDeadline) {
 		t.Fatalf("post-rebuild SearchContext error = %v, want ErrDeadline", err)
 	}
 	if hook.Counts().Cancels <= before {
-		t.Fatal("fault hook did not fire after rebuild: SetFaultHook was lost")
+		t.Fatal("fault hook did not fire after rebuild")
 	}
 }
 
@@ -110,7 +109,7 @@ func TestCancelledAboveNeverExact(t *testing.T) {
 	r := core.NewRetriever(idx)
 	const threshold = 0.5
 
-	full, err := r.SearchAboveContext(context.Background(), q, threshold)
+	full, _, err := r.SearchAboveContext(context.Background(), q, threshold)
 	if err != nil {
 		t.Fatalf("uncancelled SearchAboveContext error: %v", err)
 	}
@@ -119,9 +118,7 @@ func TestCancelledAboveNeverExact(t *testing.T) {
 		cancelAt := 1 + rng.Intn(600)
 		reg := faults.NewRegistry(77 + int64(trial))
 		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-		r.SetFaultHook(hook)
-		res, err := r.SearchAboveContext(context.Background(), q, threshold)
-		r.SetFaultHook(nil)
+		res, _, err := r.SearchAboveContext(faults.WithHook(context.Background(), hook), q, threshold)
 
 		if hook.Counts().Cancels > 0 {
 			if !errors.Is(err, search.ErrDeadline) {

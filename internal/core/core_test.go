@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -200,8 +201,8 @@ func TestPruningPowerOrdering(t *testing.T) {
 		r := buildVariant(t, items, variant)
 		total := 0
 		for _, q := range queries {
-			r.Search(q, 1)
-			total += r.Stats().FullProducts
+			_, st, _ := r.SearchContext(context.Background(), q, 1)
+			total += st.FullProducts
 		}
 		full[variant] = total
 	}
@@ -220,8 +221,7 @@ func TestStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	items, q := searchtest.RandomInstance(rng, 1000, 16)
 	r := buildVariant(t, items, "F-SIR")
-	r.Search(q, 3)
-	st := r.Stats()
+	_, st, _ := r.SearchContext(context.Background(), q, 3)
 	accounted := st.Scanned + st.PrunedByLength
 	if accounted != 1000 {
 		t.Fatalf("scanned(%d) + length-pruned(%d) = %d, want 1000", st.Scanned, st.PrunedByLength, accounted)

@@ -33,6 +33,11 @@ import (
 // monolithic index to within float tolerance but are not bit-comparable
 // across shard counts. Results are still exact: every returned score is
 // the item's verified inner product.
+//
+// Searches keep no state in the index: each call returns its own stage
+// counters, reads its fault hook from ctx, and prepares its query into
+// per-call scratch. Any number of searches may therefore run at once;
+// mutations (Add, Delete and their Context forms) must exclude them.
 type DynamicIndex struct {
 	opts    Options
 	d       int
@@ -44,8 +49,6 @@ type DynamicIndex struct {
 
 	shards []*dynShard
 	eng    *engine.Engine
-	hook   *faults.Hook
-	stats  search.Stats
 }
 
 // dynShard is one shard's two-tier state: its preprocessed main index
@@ -53,9 +56,8 @@ type DynamicIndex struct {
 // and the count of deletions hitting the current main since its build.
 type dynShard struct {
 	main       *Index
-	ret        *Retriever // for SearchAbove; shares main
-	mainIDs    []int      // catalog IDs covered by main (ascending; positions = index rows)
-	delta      []int      // catalog IDs not yet in main
+	mainIDs    []int // catalog IDs covered by main (ascending; positions = index rows)
+	delta      []int // catalog IDs not yet in main
 	deltaItems [][]float64
 	deadInMain int
 	rebuilds   int // number of times this shard's main index has been built
@@ -239,7 +241,7 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 	sh.deltaItems = nil
 	sh.deadInMain = 0
 	if len(live) == 0 {
-		sh.main, sh.ret, sh.mainIDs = nil, nil, nil
+		sh.main, sh.mainIDs = nil, nil
 		return nil
 	}
 	compact := vec.NewMatrix(len(live), di.d)
@@ -251,8 +253,6 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 		return err
 	}
 	sh.main = idx
-	sh.ret = NewRetriever(idx)
-	sh.ret.SetFaultHook(di.hook)
 	sh.mainIDs = live
 	sh.rebuilds++
 	// Tombstones for pre-rebuild IDs are now compacted away, but keep
@@ -260,23 +260,11 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 	return nil
 }
 
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per scanned item in both the delta buffers and the main
-// indexes (shard-locally); it survives rebuilds.
-func (di *DynamicIndex) SetFaultHook(h *faults.Hook) {
-	di.hook = h
-	di.eng.SetFaultHook(h)
-	for _, sh := range di.shards {
-		if sh.ret != nil {
-			sh.ret.SetFaultHook(h)
-		}
-	}
-}
-
 // SetShardObserver installs (or, with nil, removes) the engine's
 // per-shard scan observer — one callback per completed shard scan with
 // the shard index, its wall time, and its stage counters. Serving
 // layers use it to expose per-shard latency (obs.ShardScanObserver).
+// It is configuration: call it before serving queries.
 func (di *DynamicIndex) SetShardObserver(o engine.Observer) { di.eng.SetObserver(o) }
 
 // dynKernel routes DynamicIndex queries through the sharded execution
@@ -369,66 +357,66 @@ var _ engine.Kernel = (*dynKernel)(nil)
 // Search returns the exact top-k over the live catalog; IDs are the
 // stable catalog IDs returned by Add (or initial row indices).
 func (di *DynamicIndex) Search(q []float64, k int) []topk.Result {
-	res, _ := di.SearchContext(context.Background(), q, k)
+	res, _, _ := di.SearchContext(context.Background(), q, k)
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: all shards (delta
-// buffers and main indexes) poll ctx and a cancellation merges every
-// shard's best-so-far into a partial top-k returned with an
-// ErrDeadline-wrapping error.
-func (di *DynamicIndex) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+// SearchContext implements search.Searcher: all shards (delta buffers
+// and main indexes) poll ctx and a cancellation merges every shard's
+// best-so-far into a partial top-k returned with an
+// ErrDeadline-wrapping error. The stats sum every shard's delta and
+// main scans for this one query.
+func (di *DynamicIndex) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	if len(q) != di.d {
 		panic(fmt.Sprintf("core: query dim %d != %d", len(q), di.d))
 	}
-	di.stats = search.Stats{}
 	if k <= 0 {
-		return nil, nil
+		return nil, search.Stats{}, nil
 	}
-	res, err := di.eng.SearchContext(ctx, q, k)
-	di.stats = di.eng.Stats()
-	return res, err
+	return di.eng.SearchContext(ctx, q, k)
 }
 
 // SearchAbove returns every live item with qᵀp ≥ t, sorted by descending
 // score.
 func (di *DynamicIndex) SearchAbove(q []float64, t float64) []topk.Result {
-	res, _ := di.SearchAboveContext(context.Background(), q, t)
+	res, _, _ := di.SearchAboveContext(context.Background(), q, t)
 	return res
 }
 
 // SearchAboveContext behaves like SearchAbove but honours ctx in every
 // shard, returning the sorted partial result set with an
 // ErrDeadline-wrapping error on cancellation.
-func (di *DynamicIndex) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
+func (di *DynamicIndex) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, search.Stats, error) {
 	if len(q) != di.d {
 		panic(fmt.Sprintf("core: query dim %d != %d", len(q), di.d))
 	}
-	di.stats = search.Stats{}
+	var st search.Stats
 	done := ctx.Done()
-	hook := di.hook
+	hook := faults.HookFrom(ctx)
 	var out []topk.Result
 	for _, sh := range di.shards {
 		for pos, id := range sh.delta {
 			if hook != nil || (done != nil && pos&search.StrideMask == 0) {
 				if err := search.Poll(ctx, hook, pos); err != nil {
 					topk.SortResults(out)
-					return out, err
+					return out, st, err
 				}
 			}
 			if di.dead[id] {
 				continue
 			}
-			di.stats.Scanned++
-			di.stats.FullProducts++
+			st.Scanned++
+			st.FullProducts++
 			if v := vec.Dot(q, sh.deltaItems[pos]); v >= t {
 				out = append(out, topk.Result{ID: id, Score: v})
 			}
 		}
-		if sh.ret == nil {
+		if sh.main == nil {
 			continue
 		}
-		res, err := sh.ret.SearchAboveContext(ctx, q, t)
+		// Fresh query scratch per call: concurrent searches share the
+		// shard's index, never its query state.
+		res, err := sh.main.searchAbove(ctx, hook, sh.main.newQueryState(), q, t, &st)
 		for _, r := range res {
 			id := sh.mainIDs[r.ID]
 			if di.dead[id] {
@@ -436,22 +424,13 @@ func (di *DynamicIndex) SearchAboveContext(ctx context.Context, q []float64, t f
 			}
 			out = append(out, topk.Result{ID: id, Score: r.Score})
 		}
-		di.stats.Add(sh.ret.Stats())
 		if err != nil {
 			topk.SortResults(out)
-			return out, err
+			return out, st, err
 		}
 	}
 	topk.SortResults(out)
-	return out, nil
+	return out, st, nil
 }
 
-// Stats implements search.Searcher with the same per-query semantics as
-// Retriever.Stats(): the counters cover ONLY the most recent
-// Search/SearchContext/SearchAbove/SearchAboveContext call (they are
-// reset at the start of each query and are NOT cumulative across
-// queries). For sharded instances the counters are the sum over every
-// shard's delta and main scans for that one query.
-func (di *DynamicIndex) Stats() search.Stats { return di.stats }
-
-var _ search.ContextSearcher = (*DynamicIndex)(nil)
+var _ search.Searcher = (*DynamicIndex)(nil)

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"fexipro/internal/core"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -160,10 +162,9 @@ func TestDynamicShardedRebuildIsolation(t *testing.T) {
 	}
 }
 
-// TestDynamicStatsPerQuery pins the documented Stats() contract:
-// counters cover only the most recent query (same semantics as
-// Retriever.Stats()), resetting at every Search* call rather than
-// accumulating.
+// TestDynamicStatsPerQuery pins the per-call stats contract: the
+// counters a search returns cover only that query, never work left over
+// from an earlier one.
 func TestDynamicStatsPerQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260810))
 	items, q := searchtest.RandomInstance(rng, 150, 8)
@@ -178,8 +179,7 @@ func TestDynamicStatsPerQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			di.Search(q, 5)
-			first := di.Stats()
+			_, first, _ := di.SearchContext(context.Background(), q, 5)
 			if first.Scanned == 0 && first.PrunedByLength == 0 {
 				t.Fatal("first query recorded no work")
 			}
@@ -189,9 +189,8 @@ func TestDynamicStatsPerQuery(t *testing.T) {
 				q2[j] = rng.NormFloat64()
 			}
 			di.Search(q2, 9)
-			di.Search(q, 5)
-			if di.Stats() != first {
-				t.Fatalf("Stats() accumulated across queries: first %+v, repeat %+v", first, di.Stats())
+			if _, again, _ := di.SearchContext(context.Background(), q, 5); again != first {
+				t.Fatalf("stats leaked across queries: first %+v, repeat %+v", first, again)
 			}
 		})
 	}
@@ -200,7 +199,7 @@ func TestDynamicStatsPerQuery(t *testing.T) {
 // TestDynamicShardedCancellation runs the cancellation property suite
 // against the sharded dynamic index for every harness shard count.
 func TestDynamicShardedCancellation(t *testing.T) {
-	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) search.Searcher {
 		di, err := core.NewDynamicIndexSharded(items, mustOptions(t, "F-SIR"), 0.25, shards, 2)
 		if err != nil {
 			t.Fatalf("NewDynamicIndexSharded: %v", err)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -132,8 +133,8 @@ func assertGoldenEquivalent(t *testing.T, fresh, loaded *core.Index, ds *data.Da
 	rf, rl := core.NewRetriever(fresh), core.NewRetriever(loaded)
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
-		want := rf.Search(q, 10)
-		got := rl.Search(q, 10)
+		want, wantSt, _ := rf.SearchContext(context.Background(), q, 10)
+		got, gotSt, _ := rl.SearchContext(context.Background(), q, 10)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: loaded returned %d results, fresh %d", qi, len(got), len(want))
 		}
@@ -142,8 +143,8 @@ func assertGoldenEquivalent(t *testing.T, fresh, loaded *core.Index, ds *data.Da
 				t.Fatalf("query %d rank %d: loaded %+v, fresh %+v", qi, i, got[i], want[i])
 			}
 		}
-		if rf.Stats() != rl.Stats() {
-			t.Fatalf("query %d: stage counters diverged: fresh %+v, loaded %+v", qi, rf.Stats(), rl.Stats())
+		if wantSt != gotSt {
+			t.Fatalf("query %d: stage counters diverged: fresh %+v, loaded %+v", qi, wantSt, gotSt)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,8 +48,8 @@ func TestIndexRoundTrip(t *testing.T) {
 			for j := range q {
 				q[j] = rng.NormFloat64()
 			}
-			a := ro.Search(q, 5)
-			b := rl.Search(q, 5)
+			a, sa, _ := ro.SearchContext(context.Background(), q, 5)
+			b, sb, _ := rl.SearchContext(context.Background(), q, 5)
 			if len(a) != len(b) {
 				t.Fatalf("result count mismatch after load")
 			}
@@ -57,8 +58,8 @@ func TestIndexRoundTrip(t *testing.T) {
 					t.Fatalf("rank %d: %v vs %v after load", i, a[i], b[i])
 				}
 			}
-			if ro.Stats() != rl.Stats() {
-				t.Fatalf("pruning stats diverged after load: %+v vs %+v", ro.Stats(), rl.Stats())
+			if sa != sb {
+				t.Fatalf("pruning stats diverged after load: %+v vs %+v", sa, sb)
 			}
 			searchtest.CheckTopK(t, items, q, 5, b, "loaded-index")
 		}

@@ -111,10 +111,8 @@ func (fx *recoverFixture) assertSameResults(t *testing.T, label string, got, wan
 		t.Fatalf("%s: catalog shape %d/%d, want %d/%d", label, got.Len(), got.NextID(), want.Len(), want.NextID())
 	}
 	for qi, q := range fx.queries {
-		gres := got.Search(q, 5)
-		gst := got.Stats()
-		wres := want.Search(q, 5)
-		wst := want.Stats()
+		gres, gst, _ := got.SearchContext(context.Background(), q, 5)
+		wres, wst, _ := want.SearchContext(context.Background(), q, 5)
 		topk.SortResults(gres)
 		topk.SortResults(wres)
 		if !reflect.DeepEqual(gres, wres) {

@@ -12,9 +12,12 @@ import (
 	"fexipro/internal/vec"
 )
 
-// Retriever executes top-k queries against an Index (Algorithm 4). Each
-// Retriever owns scratch buffers and stats for one query at a time, so
-// concurrent queries need separate Retrievers over the same shared Index.
+// Retriever executes top-k queries against an Index (Algorithm 4). It
+// owns one reusable query scratch buffer, which makes it a
+// one-goroutine executor: concurrent queries need separate Retrievers
+// over the same shared Index (BatchTopK gives each worker its own).
+// Every call returns its own stage counters; nothing else persists
+// between queries.
 //
 // Since the sharded-execution refactor the Retriever is a thin wrapper:
 // all query preparation and scanning lives on the Index as
@@ -23,23 +26,14 @@ import (
 // this single-scan Retriever (range [0, n), no shared threshold) and
 // the per-shard kernel in Sharded (sub-ranges, shared threshold).
 type Retriever struct {
-	idx   *Index
-	hook  *faults.Hook
-	stats search.Stats
-	qs    *queryState
+	idx *Index
+	qs  *queryState
 }
 
 // NewRetriever returns a query executor for the index.
 func NewRetriever(idx *Index) *Retriever {
 	return &Retriever{idx: idx, qs: idx.newQueryState()}
 }
-
-// Stats implements search.Searcher for the most recent query.
-func (r *Retriever) Stats() search.Stats { return r.stats }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook called once per scanned item.
-func (r *Retriever) SetFaultHook(h *faults.Hook) { r.hook = h }
 
 // queryState holds the per-query derived quantities of Algorithm 4
 // lines 5–9 plus the scratch buffers they are computed into. It is
@@ -90,13 +84,13 @@ func (idx *Index) newQueryState() *queryState {
 // SVD transformation enabled they equal the original inner products up to
 // float64 rounding (Theorem 1).
 func (r *Retriever) Search(q []float64, k int) []topk.Result {
-	res, _ := r.SearchContext(context.Background(), q, k)
+	res, _, _ := r.SearchContext(context.Background(), q, k)
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: the scan polls ctx
-// every search.CheckStride items and returns the best-so-far partial
-// top-k with an ErrDeadline-wrapping error on cancellation.
+// SearchContext implements search.Searcher: the scan polls ctx every
+// search.CheckStride items and returns the best-so-far partial top-k
+// with an ErrDeadline-wrapping error on cancellation.
 //
 // When ctx carries an obs span, the two lifecycle stages of the
 // single-scan path — the per-query transform (Algorithm 4 lines 5–9)
@@ -104,14 +98,14 @@ func (r *Retriever) Search(q []float64, k int) []topk.Result {
 // matching the names the sharded engine uses so stage-timing consumers
 // need no per-topology cases. With no span in ctx every call is a nil
 // no-op; nothing span-related happens per item.
-func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	idx := r.idx
 	if len(q) != idx.d {
 		panic(fmt.Sprintf("core: query dim %d != item dim %d", len(q), idx.d))
 	}
-	r.stats = search.Stats{}
+	var st search.Stats
 	if k <= 0 {
-		return nil, nil
+		return nil, st, nil
 	}
 	sp := obs.SpanFrom(ctx)
 	c := topk.New(k)
@@ -119,17 +113,14 @@ func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]to
 	idx.prepareQuery(q, r.qs)
 	tsp.End()
 	ssp := sp.StartChild("scan")
-	err := idx.scanRange(ctx, r.hook, r.qs, 0, idx.n, c, nil, &r.stats)
+	err := idx.scanRange(ctx, faults.HookFrom(ctx), r.qs, 0, idx.n, c, nil, &st)
 	if ssp != nil {
-		ssp.AttrInt("scanned", int64(r.stats.Scanned))
-		ssp.AttrInt("pruned", int64(r.stats.TotalPruned()))
-		ssp.AttrInt("fullProducts", int64(r.stats.FullProducts))
+		ssp.AttrInt("scanned", int64(st.Scanned))
+		ssp.AttrInt("pruned", int64(st.TotalPruned()))
+		ssp.AttrInt("fullProducts", int64(st.FullProducts))
 		ssp.End()
 	}
-	if err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	return c.Results(), st, err
 }
 
 // scanRange runs Algorithm 4's scan loop over the sorted rows [lo, hi),
@@ -353,4 +344,4 @@ func (idx *Index) intDot(qs *queryState, i, lo, hi int) int64 {
 	return vec.DotInt64(qs.qFloors[lo:hi], id.floors[base+lo:base+hi])
 }
 
-var _ search.ContextSearcher = (*Retriever)(nil)
+var _ search.Searcher = (*Retriever)(nil)

@@ -33,7 +33,7 @@ func TestShardedVariantsBitExact(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.ContextSearcher {
+			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.Searcher {
 				return buildShardedVariant(t, items, variant, shards)
 			}, variant)
 		})
@@ -83,7 +83,7 @@ func TestShardedMatchesLegacyRetriever(t *testing.T) {
 // ErrDeadline-flagged partials whose scores are true inner products,
 // for every shard count in the harness grid.
 func TestShardedCancellation(t *testing.T) {
-	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) search.Searcher {
 		return buildShardedVariant(t, items, "F-SIR", shards)
 	}, "core/F-SIR")
 }
@@ -94,10 +94,10 @@ func TestShardedStatsAggregate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	items, q := searchtest.RandomInstance(rng, 500, 16)
 	eng := buildShardedVariant(t, items, "F-SIR", 5)
-	if _, err := eng.SearchContext(context.Background(), q, 10); err != nil {
+	_, st, err := eng.SearchContext(context.Background(), q, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
 	if got := st.Scanned + st.PrunedByLength; got != 500 {
 		t.Fatalf("Scanned+PrunedByLength = %d, want 500 (every row accounted once)", got)
 	}

@@ -206,7 +206,6 @@ func loadDynShard(f *snap.File, s, nShards int, di *DynamicIndex) (*dynShard, er
 			return nil, fmt.Errorf("core: shard %d main index: %w", s, err)
 		}
 		sh.main = main
-		sh.ret = NewRetriever(main)
 		sh.mainIDs = d.Ints()
 	}
 	sh.delta = d.Ints()

@@ -5,6 +5,7 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/engine"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -32,7 +33,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				},
 				Save: (*core.Index).Save,
 				Load: core.ReadIndex,
-				Searcher: func(ix *core.Index, shards int) searchtest.FaultSearcher {
+				Searcher: func(ix *core.Index, shards int) search.Searcher {
 					return engine.New(core.NewSharded(ix, shards), 2)
 				},
 			}, "core/"+variant)

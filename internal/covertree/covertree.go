@@ -37,13 +37,7 @@ type Tree struct {
 	items    *vec.Matrix
 	root     *node
 	leafSize int
-	hook     *faults.Hook
-	stats    search.Stats
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per visited tree node.
-func (t *Tree) SetFaultHook(h *faults.Hook) { t.hook = h }
 
 type node struct {
 	id          int     // representative item
@@ -148,28 +142,29 @@ func (t *Tree) build(rep int, ids []int) *node {
 	return n
 }
 
-// Search implements search.Searcher via best-bound-first branch and bound.
+// Search returns the top-k of q by best-bound-first branch and bound:
+// SearchContext without a deadline.
 func (t *Tree) Search(q []float64, k int) []topk.Result {
-	res, _ := t.SearchContext(context.Background(), q, k)
+	res, _, _ := t.SearchContext(context.Background(), q, k)
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: the descent polls ctx
+// SearchContext implements search.Searcher: the descent polls ctx
 // every search.CheckStride visited nodes and returns the best-so-far
 // partial top-k with an ErrDeadline-wrapping error on cancellation.
-func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	if t.items.Rows > 0 && len(q) != t.items.Cols {
 		panic(fmt.Sprintf("covertree: query dim %d != item dim %d", len(q), t.items.Cols))
 	}
-	t.stats = search.Stats{}
+	var st search.Stats
 	c := topk.New(k)
 	if t.root != nil && k > 0 {
-		s := &scanState{t: t, ctx: ctx, q: q, qNorm: vec.Norm(q), c: c, hook: t.hook, stats: &t.stats}
+		s := &scanState{t: t, ctx: ctx, q: q, qNorm: vec.Norm(q), c: c, hook: faults.HookFrom(ctx), stats: &st}
 		if err := s.descend(t.root); err != nil {
-			return c.Results(), err
+			return c.Results(), st, err
 		}
 	}
-	return c.Results(), nil
+	return c.Results(), st, nil
 }
 
 // scanState carries one branch-and-bound descent's per-query inputs and
@@ -240,9 +235,6 @@ func (s *scanState) descend(n *node) error {
 	return nil
 }
 
-// Stats implements search.Searcher.
-func (t *Tree) Stats() search.Stats { return t.stats }
-
 // Size returns the number of indexed items.
 func (t *Tree) Size() int {
 	if t.root == nil {
@@ -251,4 +243,4 @@ func (t *Tree) Size() int {
 	return t.root.size
 }
 
-var _ search.ContextSearcher = (*Tree)(nil)
+var _ search.Searcher = (*Tree)(nil)

@@ -1,6 +1,7 @@
 package covertree_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -56,8 +57,7 @@ func TestCoverTreePrunesInLowDimensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	items, q := searchtest.RandomInstance(rng, 5000, 3)
 	tree := covertree.New(items, 0)
-	tree.Search(q, 1)
-	st := tree.Stats()
+	_, st, _ := tree.SearchContext(context.Background(), q, 1)
 	if st.FullProducts >= 5000 {
 		t.Errorf("no pruning at d=3: %d full products", st.FullProducts)
 	}

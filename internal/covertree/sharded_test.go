@@ -17,13 +17,13 @@ func buildSharded(items *vec.Matrix, shards int) *engine.Engine {
 }
 
 func TestShardedCoverTreeBitExact(t *testing.T) {
-	searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.ContextSearcher {
+	searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.Searcher {
 		return buildSharded(items, shards)
 	}, "covertree")
 }
 
 func TestShardedCoverTreeCancellation(t *testing.T) {
-	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) search.Searcher {
 		return buildSharded(items, shards)
 	}, "covertree")
 }

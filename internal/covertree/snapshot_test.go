@@ -5,6 +5,7 @@ import (
 
 	"fexipro/internal/covertree"
 	"fexipro/internal/engine"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -18,7 +19,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		Build: func(items *vec.Matrix) *covertree.Tree { return covertree.New(items, 4) },
 		Save:  (*covertree.Tree).Save,
 		Load:  covertree.Load,
-		Searcher: func(tr *covertree.Tree, shards int) searchtest.FaultSearcher {
+		Searcher: func(tr *covertree.Tree, shards int) search.Searcher {
 			if shards == 1 {
 				return engine.New(covertree.NewKernelFromTree(tr), 2)
 			}

@@ -36,10 +36,11 @@ type Kernel interface {
 	// with shared.Floor / contribute via shared.Publish once c is full.
 	// On cancellation it returns an ErrDeadline-wrapping error after
 	// leaving c with best-so-far results whose scores are true inner
-	// products. hook, when non-nil, is the fault-injection hook to pass
-	// to search.Poll with SHARD-LOCAL item indices (so CancelAtItem
-	// fires relative to each shard's own scan). The returned Stats
-	// count only this shard's work; the engine aggregates.
+	// products. hook, when non-nil, is the query's fault-injection hook
+	// (read once from ctx by the engine) to pass to search.Poll with
+	// SHARD-LOCAL item indices (so CancelAtItem fires relative to each
+	// shard's own scan). The returned Stats count only this shard's
+	// work; the engine aggregates.
 	Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error)
 }
 
@@ -52,7 +53,7 @@ type Observer func(shard int, seconds float64, st search.Stats)
 
 // Engine fans a single query out across the shards of a Kernel using a
 // bounded worker pool, then merges the per-shard heaps into the exact
-// canonical global top-k. It implements search.ContextSearcher.
+// canonical global top-k. It implements search.Searcher.
 //
 // Exactness across shard counts: every kernel in this repository offers
 // an S-invariant candidate multiset (each shard's pruning is justified
@@ -61,15 +62,14 @@ type Observer func(shard int, seconds float64, st search.Stats)
 // function of the offered multiset — so S=1 and S>1 return bit-identical
 // IDs, scores, and tie order. See DESIGN.md §11.
 //
-// Engine is not safe for concurrent Search calls on the same instance
-// (it keeps per-query stats, like every other searcher here); use one
-// Engine per querying goroutine over a shared Kernel.
+// An Engine holds no per-query state: every SearchContext returns its
+// own stats and reads its fault hook from ctx, so one Engine may serve
+// any number of concurrent queries (kernels are read-only at query
+// time). Install the observer before the first query.
 type Engine struct {
 	kern     Kernel
 	workers  int
 	observer Observer
-	hook     *faults.Hook
-	stats    search.Stats
 }
 
 // New returns an engine over kern answering each query with a pool of
@@ -86,22 +86,15 @@ func New(kern Kernel, workers int) *Engine {
 }
 
 // SetObserver installs (or, with nil, removes) the per-shard scan
-// observer.
+// observer. It is configuration: call it before serving queries.
 func (e *Engine) SetObserver(o Observer) { e.observer = o }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook passed to every shard scan. The hook's atomics make it safe to
-// share across concurrently scanning shards; CancelAtItem semantics
-// are shard-local (the first shard to pass that many items cancels the
-// query).
-func (e *Engine) SetFaultHook(h *faults.Hook) { e.hook = h }
 
 // Workers returns the effective worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Search implements search.Searcher.
+// Search returns the top-k of q: SearchContext without a deadline.
 func (e *Engine) Search(q []float64, k int) []topk.Result {
-	res, _ := e.SearchContext(context.Background(), q, k)
+	res, _, _ := e.SearchContext(context.Background(), q, k)
 	return res
 }
 
@@ -113,11 +106,15 @@ type shardOut struct {
 	secs float64
 }
 
-// SearchContext implements search.ContextSearcher. On cancellation it
-// merges whatever every shard had collected when it stopped and returns
-// the canonical best-so-far partial top-k alongside an
-// ErrDeadline-wrapping error; all returned scores remain true inner
-// products because each kernel maintains that invariant per shard.
+// SearchContext implements search.Searcher; the returned Stats sum
+// every shard's counters. On cancellation it merges whatever every
+// shard had collected when it stopped and returns the canonical
+// best-so-far partial top-k alongside an ErrDeadline-wrapping error;
+// all returned scores remain true inner products because each kernel
+// maintains that invariant per shard. A fault hook in ctx
+// (faults.WithHook) reaches every shard scan; its CancelAtItem is
+// shard-local (the first shard to pass that many items cancels the
+// query).
 //
 // When ctx carries an obs span (tracing enabled for this query), the
 // engine attaches the query-lifecycle tree under it: one "transform"
@@ -126,9 +123,9 @@ type shardOut struct {
 // provenance, and stage counters), and one "merge" child around the
 // canonical merge. With no span in ctx every call below is a nil no-op
 // (DESIGN.md §13), so the untraced path costs one context lookup.
-func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	e.stats = search.Stats{}
+func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	sp := obs.SpanFrom(ctx)
+	hook := faults.HookFrom(ctx)
 	tsp := sp.StartChild("transform")
 	pq := e.kern.Prepare(q)
 	tsp.End()
@@ -149,7 +146,7 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 		// promptly via their entry Poll, each recording a deterministic
 		// (possibly empty) partial, so the loop never breaks early.
 		for s := 0; s < shards; s++ {
-			e.runShard(ctx, pq, s, k, shared, &outs[s], scanSp, 0)
+			e.runShard(ctx, hook, pq, s, k, shared, &outs[s], scanSp, 0)
 		}
 	} else {
 		var next atomic.Int64
@@ -163,7 +160,7 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 					if s >= shards {
 						return
 					}
-					e.runShard(ctx, pq, s, k, shared, &outs[s], scanSp, w)
+					e.runShard(ctx, hook, pq, s, k, shared, &outs[s], scanSp, w)
 				}
 			}(w)
 		}
@@ -177,11 +174,12 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 	// ordering discipline is needed here.
 	msp := sp.StartChild("merge")
 	merged := topk.New(k)
+	var st search.Stats
 	var firstErr error
 	candidates := 0
 	for s := 0; s < shards; s++ {
 		o := &outs[s]
-		e.stats.Add(o.st)
+		st.Add(o.st)
 		candidates += len(o.res)
 		// This push loop is bounded by O(shards·k) retained results, not
 		// the catalog size — cancellation already happened inside the
@@ -199,9 +197,9 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 		msp.End()
 	}
 	if firstErr != nil {
-		return merged.Results(), search.Canceled(firstErr)
+		return merged.Results(), st, search.Canceled(firstErr)
 	}
-	return merged.Results(), nil
+	return merged.Results(), st, nil
 }
 
 // runShard executes one shard scan and records its output, stats,
@@ -212,7 +210,7 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 // started), and stolen marks shards taken beyond the pool's initial
 // distribution (shard index ≥ worker count) — together the "where did
 // the microseconds go" signal for partition skew and pool sizing.
-func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
+func (e *Engine) runShard(ctx context.Context, hook *faults.Hook, pq any, s, k int, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
 	var ssp *obs.Span
 	if scanSp != nil {
 		wait := time.Since(scanSp.Start())
@@ -226,7 +224,7 @@ func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.
 	}
 	c := topk.New(k)
 	start := time.Now()
-	st, err := e.kern.Scan(ctx, pq, s, c, shared, e.hook)
+	st, err := e.kern.Scan(ctx, pq, s, c, shared, hook)
 	secs := time.Since(start).Seconds()
 	if ssp != nil {
 		ssp.AttrInt("scanned", int64(st.Scanned))
@@ -246,8 +244,4 @@ func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.
 	}
 }
 
-// Stats implements search.Searcher: the sum of every shard's stage
-// counters for the most recent query.
-func (e *Engine) Stats() search.Stats { return e.stats }
-
-var _ search.ContextSearcher = (*Engine)(nil)
+var _ search.Searcher = (*Engine)(nil)

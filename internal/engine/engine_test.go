@@ -79,14 +79,14 @@ func TestEngineMatchesSingleShard(t *testing.T) {
 		q[i] = rng.NormFloat64()
 	}
 	base := New(newDotKernel(items, 1), 1)
-	want, err := base.SearchContext(context.Background(), q, 10)
+	want, _, err := base.SearchContext(context.Background(), q, 10)
 	if err != nil {
 		t.Fatalf("S=1: %v", err)
 	}
 	for _, shards := range []int{2, 3, 7} {
 		for _, workers := range []int{1, 2, 4} {
 			e := New(newDotKernel(items, shards), workers)
-			got, err := e.SearchContext(context.Background(), q, 10)
+			got, _, err := e.SearchContext(context.Background(), q, 10)
 			if err != nil {
 				t.Fatalf("S=%d W=%d: %v", shards, workers, err)
 			}
@@ -107,10 +107,10 @@ func TestEngineStatsAggregate(t *testing.T) {
 	items := randMatrix(rng, 300, 4)
 	q := items.Row(0)
 	e := New(newDotKernel(items, 5), 2)
-	if _, err := e.SearchContext(context.Background(), q, 3); err != nil {
+	_, st, err := e.SearchContext(context.Background(), q, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
 	if st.Scanned != 300 {
 		t.Fatalf("aggregated Scanned = %d, want 300", st.Scanned)
 	}
@@ -136,7 +136,7 @@ func TestEngineObserver(t *testing.T) {
 		seen[shard] = true
 		totalScanned += st.Scanned
 	})
-	if _, err := e.SearchContext(context.Background(), items.Row(3), 5); err != nil {
+	if _, _, err := e.SearchContext(context.Background(), items.Row(3), 5); err != nil {
 		t.Fatal(err)
 	}
 	for s, ok := range seen {
@@ -159,8 +159,8 @@ func TestEngineCancellationPartials(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		e := New(newDotKernel(items, 4), workers)
 		reg := faults.NewRegistry(20260806)
-		e.SetFaultHook(reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: 25}))
-		res, err := e.SearchContext(context.Background(), q, 10)
+		ctx := faults.WithHook(context.Background(), reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: 25}))
+		res, _, err := e.SearchContext(ctx, q, 10)
 		if !errors.Is(err, search.ErrDeadline) {
 			t.Fatalf("W=%d: err = %v, want ErrDeadline", workers, err)
 		}
@@ -179,7 +179,7 @@ func TestEnginePreCancelled(t *testing.T) {
 	e := New(newDotKernel(items, 3), 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := e.SearchContext(ctx, items.Row(0), 5)
+	res, _, err := e.SearchContext(ctx, items.Row(0), 5)
 	if !errors.Is(err, search.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestBuildAllMethods(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		res := b.Searcher.Search(ds.Queries.Row(0), 3)
+		res, _, _ := b.Searcher.SearchContext(context.Background(), ds.Queries.Row(0), 3)
 		if len(res) != 3 {
 			t.Fatalf("%s returned %d results", m, len(res))
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -56,7 +57,7 @@ func Figure8(cfg Config) (string, error) {
 		}
 		sums := make([]float64, maxK)
 		for i := 0; i < ds.Queries.Rows; i++ {
-			res := b.Searcher.Search(ds.Queries.Row(i), maxK)
+			res, _, _ := b.Searcher.SearchContext(context.Background(), ds.Queries.Row(i), maxK)
 			for k := 0; k < maxK && k < len(res); k++ {
 				sums[k] += res[k].Score
 			}

@@ -7,10 +7,12 @@
 //
 // Two injection sites exist:
 //
-//   - scan loops: every searcher exposes SetFaultHook(*Hook); the scan
-//     loop calls Hook.OnItem(i) once per candidate, behind a nil check
-//     that costs nothing in production (hooks are never installed
-//     outside tests).
+//   - scan loops: the hook rides the request context (WithHook). Each
+//     top-level search reads it once (HookFrom) and its scan loop calls
+//     Hook.OnItem(i) once per candidate, behind a nil check that costs
+//     nothing in production (hooks are never installed outside tests).
+//     Indexes therefore hold no hook state, and a hook reaches exactly
+//     the requests it was attached to.
 //   - request handlers: the HTTP server calls Hook.OnCall() at the top
 //     of guarded handlers, letting tests inject per-request latency,
 //     failures, and panics through the full middleware stack.
@@ -22,6 +24,7 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -182,6 +185,24 @@ func (h *Hook) OnCall() error {
 		}
 	}
 	return nil
+}
+
+type hookKey struct{}
+
+// WithHook returns ctx carrying h as the scan-site hook; a nil h
+// returns ctx unchanged.
+func WithHook(ctx context.Context, h *Hook) context.Context {
+	if h == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, hookKey{}, h)
+}
+
+// HookFrom returns the scan-site hook carried by ctx, or nil — the nil
+// result is what production scans see.
+func HookFrom(ctx context.Context) *Hook {
+	h, _ := ctx.Value(hookKey{}).(*Hook)
+	return h
 }
 
 // Registry maps site names to hooks. All methods are safe for

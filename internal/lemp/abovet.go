@@ -16,7 +16,7 @@ import (
 // decreasing max-norm order and the scan stops at the first bucket whose
 // best possible product is below t.
 func (idx *Index) SearchAbove(q []float64, t float64) []topk.Result {
-	res, _ := idx.SearchAboveContext(context.Background(), q, t)
+	res, _, _ := idx.SearchAboveContext(context.Background(), q, t)
 	return res
 }
 
@@ -26,14 +26,14 @@ func (idx *Index) SearchAbove(q []float64, t float64) []topk.Result {
 // qualifying items found so far with an ErrDeadline-wrapping error. On
 // cancellation the set may be missing qualifying items, but every
 // returned score is a true inner product.
-func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
+func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, search.Stats, error) {
 	if len(q) != idx.d {
 		panic(fmt.Sprintf("lemp: query dim %d != item dim %d", len(q), idx.d))
 	}
-	idx.stats = search.Stats{}
+	var st search.Stats
 	qNorm := vec.Norm(q)
 	done := ctx.Done()
-	hook := idx.hook
+	hook := faults.HookFrom(ctx)
 	pos := 0
 	var out []topk.Result
 	if qNorm == 0 {
@@ -44,7 +44,7 @@ func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64
 					if hook != nil || (done != nil && pos&search.StrideMask == 0) {
 						if err := search.Poll(ctx, hook, pos); err != nil {
 							topk.SortResults(out)
-							return out, err
+							return out, st, err
 						}
 					}
 					pos++
@@ -53,7 +53,7 @@ func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64
 			}
 			topk.SortResults(out)
 		}
-		return out, nil
+		return out, st, nil
 	}
 	qUnit := vec.Scaled(q, 1/qNorm)
 
@@ -61,20 +61,20 @@ func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64
 		b := &idx.buckets[bi]
 		if qNorm*b.maxNorm < t {
 			for _, rest := range idx.buckets[bi:] {
-				idx.stats.PrunedByLength += len(rest.ids)
+				st.PrunedByLength += len(rest.ids)
 			}
 			break
 		}
-		if err := idx.scanBucketAbove(ctx, hook, done, &pos, b, qUnit, qNorm, t, &out); err != nil {
+		if err := idx.scanBucketAbove(ctx, hook, done, &pos, b, qUnit, qNorm, t, &out, &st); err != nil {
 			topk.SortResults(out)
-			return out, err
+			return out, st, err
 		}
 	}
 	topk.SortResults(out)
-	return out, nil
+	return out, st, nil
 }
 
-func (idx *Index) scanBucketAbove(ctx context.Context, hook *faults.Hook, done <-chan struct{}, pos *int, b *bucket, qUnit []float64, qNorm, t float64, out *[]topk.Result) error {
+func (idx *Index) scanBucketAbove(ctx context.Context, hook *faults.Hook, done <-chan struct{}, pos *int, b *bucket, qUnit []float64, qNorm, t float64, out *[]topk.Result, stats *search.Stats) error {
 	d := idx.d
 	w := b.w
 	qTail := vec.NormRange(qUnit, w, d)
@@ -87,10 +87,10 @@ func (idx *Index) scanBucketAbove(ctx context.Context, hook *faults.Hook, done <
 		*pos++
 		lenBound := qNorm * b.norms[i]
 		if lenBound < t {
-			idx.stats.PrunedByLength += b.unit.Rows - i
+			stats.PrunedByLength += b.unit.Rows - i
 			return nil
 		}
-		idx.stats.Scanned++
+		stats.Scanned++
 		theta := math.Inf(-1)
 		if lenBound > 0 {
 			theta = t / lenBound
@@ -100,14 +100,14 @@ func (idx *Index) scanBucketAbove(ctx context.Context, hook *faults.Hook, done <
 		if w < d {
 			cos = vec.DotRange(qUnit, row, 0, w)
 			if cos+qTail*b.tailNorms[i] < theta {
-				idx.stats.PrunedByIncremental++
+				stats.PrunedByIncremental++
 				continue
 			}
 			cos += vec.DotRange(qUnit, row, w, d)
 		} else {
 			cos = vec.Dot(qUnit, row)
 		}
-		idx.stats.FullProducts++
+		stats.FullProducts++
 		if v := cos * lenBound; v >= t {
 			*out = append(*out, topk.Result{ID: b.ids[i], Score: v})
 		}
@@ -116,14 +116,15 @@ func (idx *Index) scanBucketAbove(ctx context.Context, hook *faults.Hook, done <
 }
 
 // AboveJoin answers the batch above-t task: for every query row, all
-// items with product ≥ t.
-func (idx *Index) AboveJoin(queries *vec.Matrix, t float64) [][]topk.Result {
+// items with product ≥ t, plus the stage counters summed over the
+// batch.
+func (idx *Index) AboveJoin(queries *vec.Matrix, t float64) ([][]topk.Result, search.Stats) {
 	out := make([][]topk.Result, queries.Rows)
 	var acc search.Stats
 	for i := 0; i < queries.Rows; i++ {
-		out[i] = idx.SearchAbove(queries.Row(i), t)
-		acc.Add(idx.stats)
+		res, st, _ := idx.SearchAboveContext(context.Background(), queries.Row(i), t)
+		out[i] = res
+		acc.Add(st)
 	}
-	idx.stats = acc
-	return out
+	return out, acc
 }

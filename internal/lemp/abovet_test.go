@@ -1,6 +1,7 @@
 package lemp_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,7 +48,7 @@ func TestAboveJoin(t *testing.T) {
 	}
 	idx := lemp.New(items, lemp.Options{})
 	naive := scan.NewNaive(items)
-	all := idx.AboveJoin(queries, 2.0)
+	all, _ := idx.AboveJoin(queries, 2.0)
 	for qi := 0; qi < queries.Rows; qi++ {
 		want := naive.SearchAbove(queries.Row(qi), 2.0)
 		if len(all[qi]) != len(want) {
@@ -74,8 +75,8 @@ func TestSearchAbovePrunesBuckets(t *testing.T) {
 	items, q := searchtest.RandomInstance(rng, 5000, 12)
 	idx := lemp.New(items, lemp.Options{})
 	top := idx.Search(q, 1)
-	idx.SearchAbove(q, top[0].Score*0.95)
-	if st := idx.Stats(); st.PrunedByLength == 0 {
+	_, st, _ := idx.SearchAboveContext(context.Background(), q, top[0].Score*0.95)
+	if st.PrunedByLength == 0 {
 		t.Error("above-t never pruned by bucket length")
 	}
 }

@@ -46,14 +46,7 @@ type Index struct {
 	d        int
 	strategy Strategy
 	buckets  []bucket
-	hook     *faults.Hook
-	stats    search.Stats
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per scanned item (with a global item counter that runs
-// across bucket boundaries).
-func (idx *Index) SetFaultHook(h *faults.Hook) { idx.hook = h }
 
 type bucket struct {
 	unit      *vec.Matrix // normalized vectors
@@ -184,9 +177,10 @@ func (b *bucket) tuneW(samples *vec.Matrix) {
 	b.setW(bestW)
 }
 
-// Search implements search.Searcher for a single query.
+// Search returns the top-k of one query: SearchContext without a
+// deadline.
 func (idx *Index) Search(q []float64, k int) []topk.Result {
-	res, _ := idx.SearchContext(context.Background(), q, k)
+	res, _, _ := idx.SearchContext(context.Background(), q, k)
 	return res
 }
 
@@ -222,21 +216,20 @@ func (idx *Index) prepareQuery(q []float64) *lempQuery {
 	return qs
 }
 
-// SearchContext implements search.ContextSearcher: bucket scans poll ctx
-// every search.CheckStride items (counted across buckets) and return the
+// SearchContext implements search.Searcher: bucket scans poll ctx every
+// search.CheckStride items (counted across buckets) and return the
 // best-so-far partial top-k with an ErrDeadline-wrapping error on
-// cancellation.
-func (idx *Index) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+// cancellation. A fault hook in ctx sees a global item counter that
+// runs across bucket boundaries.
+func (idx *Index) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	qs := idx.prepareQuery(q)
-	idx.stats = search.Stats{}
+	var st search.Stats
 	if k == 0 {
-		return nil, nil
+		return nil, st, nil
 	}
 	c := topk.New(k)
-	if err := idx.scanBuckets(ctx, idx.hook, qs, 0, len(idx.buckets), c, nil, &idx.stats); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	err := idx.scanBuckets(ctx, faults.HookFrom(ctx), qs, 0, len(idx.buckets), c, nil, &st)
+	return c.Results(), st, err
 }
 
 // scanBuckets runs the bucket scan over buckets [bLo, bHi) — the whole
@@ -279,10 +272,13 @@ func (idx *Index) scanBuckets(ctx context.Context, hook *faults.Hook, qs *lempQu
 			return nil
 		}
 		// COORD: one O(d) bound may rule out the whole bucket without
-		// stopping the scan (later buckets can still qualify).
+		// stopping the scan (later buckets can still qualify). The
+		// bucket's items were reached, so they count as scanned as well
+		// as pruned.
 		if b.coord != nil && !math.IsInf(t, -1) {
 			cosUB := b.coord.cosUpperBound(qs.qUnit)
 			if b.coord.bucketBound(qs.qNorm, b.maxNorm, cosUB) < t {
+				stats.Scanned += len(b.ids)
 				stats.PrunedByIncremental += len(b.ids)
 				pos += len(b.ids)
 				continue
@@ -348,17 +344,13 @@ func (idx *Index) scanBucket(ctx context.Context, hook *faults.Hook, done <-chan
 	return nil
 }
 
-// Stats implements search.Searcher (counters of the most recent Search;
-// for TopKJoin they accumulate over the whole batch).
-func (idx *Index) Stats() search.Stats { return idx.stats }
-
 // TopKJoin answers the paper's batch task: the top-k list for every
 // query row. Queries are processed in descending-norm order internally
 // (LEMP's locality optimization) but results are returned in input order.
 // It delegates to TopKJoinContext with a background context and one
 // worker (the deterministic sequential order).
 func (idx *Index) TopKJoin(queries *vec.Matrix, k int) [][]topk.Result {
-	out, _ := idx.TopKJoinContext(context.Background(), queries, k, 1)
+	out, _, _ := idx.TopKJoinContext(context.Background(), queries, k, 1)
 	return out
 }
 
@@ -368,12 +360,13 @@ func (idx *Index) TopKJoin(queries *vec.Matrix, k int) [][]topk.Result {
 // stage counters over the shared read-only buckets. On cancellation it
 // returns the batch completed so far — unprocessed queries have nil
 // slots, the query cut short mid-scan keeps its true-inner-product
-// partial — together with an ErrDeadline-wrapping error. Stats() after
-// the call reports the counters accumulated over the whole batch.
-func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, workers int) ([][]topk.Result, error) {
+// partial — together with an ErrDeadline-wrapping error. The returned
+// stats are the counters accumulated over the whole batch.
+func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, workers int) ([][]topk.Result, search.Stats, error) {
 	if queries.Cols != idx.d {
 		panic(fmt.Sprintf("lemp: query dim %d != item dim %d", queries.Cols, idx.d))
 	}
+	hook := faults.HookFrom(ctx)
 	out := make([][]topk.Result, queries.Rows)
 	ordered := queries.Clone()
 	perm := ordered.SortRowsByNormDesc()
@@ -384,7 +377,7 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 			qs := idx.prepareQuery(ordered.Row(i))
 			var st search.Stats
 			c := topk.New(k)
-			err := idx.scanBuckets(ctx, idx.hook, qs, 0, len(idx.buckets), c, nil, &st)
+			err := idx.scanBuckets(ctx, hook, qs, 0, len(idx.buckets), c, nil, &st)
 			out[perm[i]] = c.Results()
 			acc.Add(st)
 			if err != nil {
@@ -392,11 +385,10 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 				break
 			}
 		}
-		idx.stats = acc
 		if firstErr != nil {
-			return out, search.Canceled(firstErr)
+			return out, acc, search.Canceled(firstErr)
 		}
-		return out, nil
+		return out, acc, nil
 	}
 
 	chunk := (ordered.Rows + workers - 1) / workers
@@ -421,7 +413,7 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 				qs := idx.prepareQuery(ordered.Row(i))
 				var st search.Stats
 				c := topk.New(k)
-				err := idx.scanBuckets(ctx, idx.hook, qs, 0, len(idx.buckets), c, nil, &st)
+				err := idx.scanBuckets(ctx, hook, qs, 0, len(idx.buckets), c, nil, &st)
 				out[perm[i]] = c.Results()
 				co.st.Add(st)
 				if err != nil {
@@ -440,11 +432,10 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 			firstErr = couts[ci].err
 		}
 	}
-	idx.stats = acc
 	if firstErr != nil {
-		return out, search.Canceled(firstErr)
+		return out, acc, search.Canceled(firstErr)
 	}
-	return out, nil
+	return out, acc, nil
 }
 
-var _ search.ContextSearcher = (*Index)(nil)
+var _ search.Searcher = (*Index)(nil)

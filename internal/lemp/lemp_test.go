@@ -1,6 +1,7 @@
 package lemp_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,8 +74,7 @@ func TestLEMPBucketTermination(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	items, q := searchtest.RandomInstance(rng, 5000, 16)
 	idx := lemp.New(items, lemp.Options{})
-	idx.Search(q, 1)
-	st := idx.Stats()
+	_, st, _ := idx.SearchContext(context.Background(), q, 1)
 	if st.PrunedByLength == 0 {
 		t.Error("LEMP never pruned by length on norm-skewed data")
 	}

@@ -24,7 +24,7 @@ func TestShardedLEMPBitExact(t *testing.T) {
 	}{{"LI", lemp.StrategyLI}, {"Coord", lemp.StrategyCoord}} {
 		st := st
 		t.Run(st.name, func(t *testing.T) {
-			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.ContextSearcher {
+			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.Searcher {
 				return buildSharded(items, st.strategy, shards)
 			}, "lemp-"+st.name)
 		})
@@ -32,7 +32,7 @@ func TestShardedLEMPBitExact(t *testing.T) {
 }
 
 func TestShardedLEMPCancellation(t *testing.T) {
-	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) search.Searcher {
 		return buildSharded(items, lemp.StrategyLI, shards)
 	}, "lemp")
 }

@@ -5,6 +5,7 @@ import (
 
 	"fexipro/internal/engine"
 	"fexipro/internal/lemp"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -26,7 +27,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				},
 				Save: (*lemp.Index).Save,
 				Load: lemp.Load,
-				Searcher: func(ix *lemp.Index, shards int) searchtest.FaultSearcher {
+				Searcher: func(ix *lemp.Index, shards int) search.Searcher {
 					return engine.New(lemp.NewKernel(ix, shards), 2)
 				},
 			}, "lemp-"+st.name)

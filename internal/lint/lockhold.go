@@ -22,11 +22,13 @@ import (
 //     is flagged with a suggested fix;
 //   - no blocking calls while the mutex is held: channel sends/receives
 //     and selects, time.Sleep, slog logging (a Handler may write to a
-//     blocked pipe), Search*/TopK*Context calls (a whole scan under the
-//     lock extends every queued request by a full scan), and calls
-//     through function-typed values (the callee is unknown, so the
-//     hold-time is unbounded; annotate the call site if the indirection
-//     is the documented design, as in server.searchLocked).
+//     blocked pipe), Search*/TopK*Context calls under an exclusive lock
+//     (a whole scan extends every queued request by a full scan; under
+//     a read lock readers do not queue behind each other, and a writer
+//     waits for at most the deadline-bounded scans already running, so
+//     direct scan calls there are the documented read path, as in
+//     server.search), and calls through function-typed values (the
+//     callee is unknown, so the hold-time is unbounded).
 //
 // The blocking check is interprocedural within a unit: a same-package
 // helper whose body (transitively) performs one of the blocking
@@ -204,6 +206,9 @@ func flagBlockingInRegion(pass *Pass, blockers map[types.Object]string, fd *ast.
 			}
 			return false // comm clauses were judged as a unit
 		case *ast.CallExpr:
+			if r.read && isScanCall(s) {
+				return true
+			}
 			if msg := blockingCallMessage(pass, s); msg != "" {
 				pass.Reportf(s.Pos(), "%s while holding %s — move it after the unlock or document why with //lint:ignore lockhold", msg, r.path)
 			} else if callee := flow.Callee(pass.Info, s); callee != nil {
@@ -261,6 +266,13 @@ func blockingCallMessage(pass *Pass, call *ast.CallExpr) string {
 		}
 	}
 	return ""
+}
+
+// isScanCall reports whether call is a method call to a scan entry
+// point.
+func isScanCall(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && isSearchEntryName(sel.Sel.Name)
 }
 
 // isSearchEntryName matches the context-searcher entry points whose

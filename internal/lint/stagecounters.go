@@ -16,8 +16,9 @@ import (
 // layer:
 //
 //  1. any threshold-guarded exit (an if whose condition compares a value
-//     derived from a Threshold() call, inside a method on a type that
-//     carries a Stats field) must increment a PrunedBy* counter before
+//     derived from a Threshold() call, inside a function that counts
+//     into a Stats value — a Stats or *Stats parameter, local variable,
+//     or receiver field) must increment a PrunedBy* counter before
 //     leaving the loop or function — a pruning decision that is not
 //     counted silently corrupts Tables 3/7-style telemetry;
 //  2. a struct type named Stats that declares PrunedBy* fields must have
@@ -43,7 +44,7 @@ func runStageCounters(pass *Pass) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.FuncDecl:
-				if node.Body != nil && hasStatsReceiver(pass, node) {
+				if node.Body != nil && countsStats(pass, node) {
 					checkThresholdExits(pass, node)
 				}
 			case *ast.CompositeLit:
@@ -228,30 +229,47 @@ func checkPlainCounterAssign(pass *Pass, as *ast.AssignStmt) {
 
 // --- check 1: threshold-guarded exits must count the prune -----------
 
-// hasStatsReceiver reports whether fd is a method on a struct that holds
-// a field of a named type called Stats (e.g. search.Stats).
-func hasStatsReceiver(pass *Pass, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
+// countsStats reports whether fd counts into a value of a named type
+// called Stats (e.g. search.Stats): through a Stats or *Stats
+// parameter or local variable, or a receiver struct field of either
+// type. Searches return their stats, so the counters of every scan
+// loop (each scanRange) live in a parameter or a local.
+func countsStats(pass *Pass, fd *ast.FuncDecl) bool {
+	if fd.Recv != nil && len(fd.Recv.List) > 0 {
+		t := pass.TypeOf(fd.Recv.List[0].Type)
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if t != nil {
+			if st, ok := t.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if isStatsType(st.Field(i).Type()) {
+						return true
+					}
+				}
+			}
+		}
 	}
-	t := pass.TypeOf(fd.Recv.List[0].Type)
-	if t == nil {
-		return false
-	}
+	found := false
+	ast.Inspect(fd, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if v, ok := pass.Info.Defs[id].(*types.Var); ok && !v.IsField() && isStatsType(v.Type()) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// isStatsType reports whether t is a named type called Stats or a
+// pointer to one.
+func isStatsType(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		ft := st.Field(i).Type()
-		if named, ok := ft.(*types.Named); ok && named.Obj().Name() == "Stats" {
-			return true
-		}
-	}
-	return false
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Stats"
 }
 
 // checkThresholdExits performs a local taint pass: identifiers assigned

@@ -68,6 +68,20 @@ func (s *S) scanHeld(ctx context.Context, q []float64) {
 	s.idx.SearchContext(ctx, q, 10) // want `SearchContext call .a full scan. while holding s.mu`
 }
 
+// scanShared: readers share an RWMutex, so a scan under the read lock
+// is the documented read path, not a queue of full scans.
+func (s *S) scanShared(ctx context.Context, q []float64) {
+	s.rw.RLock()
+	defer s.rw.RUnlock()
+	s.idx.SearchContext(ctx, q, 10)
+}
+
+func (s *S) scanHeldWrite(ctx context.Context, q []float64) {
+	s.rw.Lock()
+	defer s.rw.Unlock()
+	s.idx.SearchContext(ctx, q, 10) // want `SearchContext call .a full scan. while holding s.rw`
+}
+
 func (s *S) logHeld() {
 	s.mu.Lock()
 	s.logger.Info("msg") // want `slog call .Info. while holding s.mu`

@@ -75,6 +75,29 @@ func (s *searcher) searchGood(c *collector) {
 	}
 }
 
+// scanBad and scanGood count into a *Stats parameter, the shape of
+// every scanRange: check 1 covers them without any Stats field.
+func scanBad(c *collector, norms []float64, stats *Stats) {
+	t := c.Threshold()
+	for _, n := range norms {
+		if n < t { // want `threshold-guarded exit does not increment`
+			return
+		}
+		stats.Scanned++
+	}
+}
+
+func scanGood(c *collector, norms []float64, stats *Stats) {
+	t := c.Threshold()
+	for i, n := range norms {
+		if n < t {
+			stats.PrunedByLength += len(norms) - i
+			return
+		}
+		stats.Scanned++
+	}
+}
+
 func (s *searcher) reset(n int) {
 	s.stats = Stats{}          // whole-struct reset: allowed
 	s.stats.PrunedByLength = n // want `plain assignment to stage counter`

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fexipro/internal/data"
-	"fexipro/internal/search"
 )
 
 func TestTableOrderMatchesPaper(t *testing.T) {
@@ -82,24 +81,19 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 			d, _ := Lookup(name)
 			for qi := 0; qi < ds.Queries.Rows; qi++ {
 				q := ds.Queries.Row(qi)
-				got := s.Search(q, k)
+				got, _, _ := s.SearchContext(context.Background(), q, k)
 				if len(got) != k {
 					t.Fatalf("%s shards=%d q%d: %d results, want %d", name, shards, qi, len(got), k)
 				}
 				if !d.Exact {
 					continue
 				}
-				want := ref.Search(q, k)
+				want, _, _ := ref.SearchContext(context.Background(), q, k)
 				for i := range want {
 					if got[i].ID != want[i].ID || !approxEq(got[i].Score, want[i].Score) {
 						t.Fatalf("%s shards=%d q%d r%d: got %d:%g want %d:%g",
 							name, shards, qi, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
 					}
-				}
-			}
-			if cs, ok := s.(search.ContextSearcher); ok {
-				if _, err := cs.SearchContext(context.Background(), ds.Queries.Row(0), k); err != nil {
-					t.Fatalf("%s shards=%d: SearchContext: %v", name, shards, err)
 				}
 			}
 		}

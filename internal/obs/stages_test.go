@@ -4,21 +4,14 @@ import (
 	"testing"
 
 	"fexipro/internal/search"
-	"fexipro/internal/topk"
 )
 
-// fakeSearcher returns canned stats so the recorder's accumulation can
-// be asserted exactly.
-type fakeSearcher struct{ st search.Stats }
-
-func (f *fakeSearcher) Search(q []float64, k int) []topk.Result {
-	return []topk.Result{{ID: 1, Score: 2}}
-}
-func (f *fakeSearcher) Stats() search.Stats { return f.st }
-
-func TestInstrumentedAccumulates(t *testing.T) {
+// TestSearchRecorderAccumulates pins the cumulative metrics a
+// recorder builds from per-query counters: every stage total is the sum
+// over the recorded searches.
+func TestSearchRecorderAccumulates(t *testing.T) {
 	reg := NewRegistry()
-	fake := &fakeSearcher{st: search.Stats{
+	st := search.Stats{
 		Scanned:             10,
 		PrunedByLength:      1,
 		PrunedByIntHead:     2,
@@ -27,14 +20,11 @@ func TestInstrumentedAccumulates(t *testing.T) {
 		PrunedByMonotone:    5,
 		FullProducts:        6,
 		NodesVisited:        7,
-	}}
-	w := Instrument(fake, reg, "F-SIR")
-	for i := 0; i < 3; i++ {
-		if res := w.Search([]float64{1}, 1); len(res) != 1 {
-			t.Fatalf("search result lost: %v", res)
-		}
 	}
-
+	rec := NewSearchRecorder(reg, "F-SIR")
+	for i := 0; i < 3; i++ {
+		rec.RecordSearch(st, 0.001)
+	}
 	v := L("variant", "F-SIR")
 	if got := reg.Counter(MetricSearches, "", v).Value(); got != 3 {
 		t.Fatalf("searches = %d, want 3", got)
@@ -59,13 +49,6 @@ func TestInstrumentedAccumulates(t *testing.T) {
 	}
 	if got := reg.Histogram(MetricSearchLatency, "", nil, v).Count(); got != 3 {
 		t.Fatalf("latency observations = %d, want 3", got)
-	}
-	// Stats passthrough preserves the last-call contract.
-	if w.Stats() != fake.st {
-		t.Fatal("Stats not passed through")
-	}
-	if w.Unwrap() != fake {
-		t.Fatal("Unwrap lost the inner searcher")
 	}
 }
 

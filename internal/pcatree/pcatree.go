@@ -45,13 +45,7 @@ type Tree struct {
 	ext   *vec.Matrix // (d+1)-dimensional transformed items
 	root  *pnode
 	opts  Options
-	hook  *faults.Hook
-	stats search.Stats
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per visited tree node.
-func (t *Tree) SetFaultHook(h *faults.Hook) { t.hook = h }
 
 type pnode struct {
 	// internal
@@ -164,33 +158,31 @@ func (t *Tree) topComponent(ids []int) []float64 {
 	return dir
 }
 
-// Search implements search.Searcher, approximately: only candidates in
-// the visited leaves are considered.
+// Search returns the approximate top-k of q (only candidates in the
+// visited leaves are considered): SearchContext without a deadline.
 func (t *Tree) Search(q []float64, k int) []topk.Result {
-	res, _ := t.SearchContext(context.Background(), q, k)
+	res, _, _ := t.SearchContext(context.Background(), q, k)
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: the descent polls ctx
+// SearchContext implements search.Searcher: the descent polls ctx
 // every search.CheckStride visited nodes and returns the best-so-far
 // partial (and, as always for PCATree, approximate) top-k with an
 // ErrDeadline-wrapping error on cancellation.
-func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	if t.items.Rows > 0 && len(q) != t.items.Cols {
 		panic(fmt.Sprintf("pcatree: query dim %d != item dim %d", len(q), t.items.Cols))
 	}
-	t.stats = search.Stats{}
+	var st search.Stats
 	c := topk.New(k)
 	if t.root == nil || k == 0 {
-		return c.Results(), nil
+		return c.Results(), st, nil
 	}
 	ext := make([]float64, t.items.Cols+1)
 	copy(ext[1:], q)
-	s := &scanState{t: t, ctx: ctx, ext: ext, q: q, c: c, hook: t.hook, stats: &t.stats, loID: 0, hiID: t.items.Rows}
-	if err := s.descend(t.root); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	s := &scanState{t: t, ctx: ctx, ext: ext, q: q, c: c, hook: faults.HookFrom(ctx), stats: &st, loID: 0, hiID: t.items.Rows}
+	err := s.descend(t.root)
+	return c.Results(), st, err
 }
 
 // scanState carries one defeatist descent's per-query inputs and
@@ -250,9 +242,6 @@ func (s *scanState) descend(n *pnode) error {
 	return nil
 }
 
-// Stats implements search.Searcher.
-func (t *Tree) Stats() search.Stats { return t.stats }
-
 // RMSEAtK computes the paper's RMSE@k quality metric for this tree
 // against exact results: the root-mean-square difference between the
 // scores of the approximate and the optimal recommendation lists
@@ -266,7 +255,7 @@ func RMSEAtK(t *Tree, exact search.Searcher, queries *vec.Matrix, k int) float64
 	for i := 0; i < queries.Rows; i++ {
 		q := queries.Row(i)
 		approx := t.Search(q, k)
-		opt := exact.Search(q, k)
+		opt, _, _ := exact.SearchContext(context.Background(), q, k)
 		for s := 0; s < len(opt); s++ {
 			var a float64
 			if s < len(approx) {
@@ -283,4 +272,4 @@ func RMSEAtK(t *Tree, exact search.Searcher, queries *vec.Matrix, k int) float64
 	return math.Sqrt(se / float64(count))
 }
 
-var _ search.ContextSearcher = (*Tree)(nil)
+var _ search.Searcher = (*Tree)(nil)

@@ -1,6 +1,7 @@
 package pcatree_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -50,8 +51,8 @@ func TestPCATreeIsSelective(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	items, q := searchtest.RandomInstance(rng, 4000, 16)
 	tree := pcatree.New(items, pcatree.Options{LeafSize: 64})
-	tree.Search(q, 5)
-	if st := tree.Stats(); st.Scanned > 500 {
+	_, st, _ := tree.SearchContext(context.Background(), q, 5)
+	if st.Scanned > 500 {
 		t.Fatalf("defeatist search scanned %d of 4000 items", st.Scanned)
 	}
 }

@@ -30,7 +30,7 @@ func TestShardedPCATreeBitExact(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.ContextSearcher {
+			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.Searcher {
 				return buildSharded(items, cfg.opts, shards)
 			}, "pcatree-"+cfg.name)
 		})
@@ -38,7 +38,7 @@ func TestShardedPCATreeBitExact(t *testing.T) {
 }
 
 func TestShardedPCATreeCancellation(t *testing.T) {
-	searchtest.CheckShardedCancellationApprox(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	searchtest.CheckShardedCancellationApprox(t, func(items *vec.Matrix, shards int) search.Searcher {
 		return buildSharded(items, pcatree.Options{LeafSize: 8}, shards)
 	}, "pcatree")
 }

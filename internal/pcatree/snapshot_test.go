@@ -5,6 +5,7 @@ import (
 
 	"fexipro/internal/engine"
 	"fexipro/internal/pcatree"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -29,7 +30,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				Build: func(items *vec.Matrix) *pcatree.Tree { return pcatree.New(items, cfg.opts) },
 				Save:  (*pcatree.Tree).Save,
 				Load:  pcatree.Load,
-				Searcher: func(tr *pcatree.Tree, shards int) searchtest.FaultSearcher {
+				Searcher: func(tr *pcatree.Tree, shards int) search.Searcher {
 					return engine.New(pcatree.NewKernel(tr, shards), 2)
 				},
 				Approx: true,

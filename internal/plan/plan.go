@@ -18,9 +18,9 @@ package plan
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/method"
 	"fexipro/internal/obs"
 	"fexipro/internal/search"
@@ -45,7 +45,7 @@ type Candidate struct {
 	// Name is the registry name recorded in decisions and metrics.
 	Name string
 	// Searcher answers the delegated queries.
-	Searcher search.ContextSearcher
+	Searcher search.Searcher
 	// Cost is the prior cost model, normally the registry descriptor's
 	// (overridden by a loaded Calibration).
 	Cost method.CostModel
@@ -75,8 +75,9 @@ type Options struct {
 	AllowApprox bool
 	// OnDecision, when set, is invoked after every query with the
 	// completed decision (the server bridges this to the
-	// fexipro_plan_decisions_total metric). Called with the planner's
-	// internal lock held: it must not call back into the Planner.
+	// fexipro_plan_decisions_total metric). It runs outside the
+	// planner's lock and, under concurrent queries, concurrently with
+	// itself.
 	OnDecision func(Decision)
 }
 
@@ -105,19 +106,18 @@ type candState struct {
 }
 
 // Planner delegates each query to the predicted-cheapest candidate.
-// It serializes queries (the candidates' executors are single-query
-// and the calibration state is single-writer); for concurrent load,
-// give each goroutine its own Planner over shared indexes, or let the
-// server's existing request serialization do it.
+// It is safe for concurrent queries when its candidates are: the
+// calibration state sits behind mu, held only while picking a
+// candidate and while folding an observation in, never across the
+// delegated search itself.
 type Planner struct {
-	cands []Candidate
-	state []candState
-	opts  Options
+	opts Options
 
+	mu          sync.Mutex
+	cands       []Candidate // Name and Searcher are immutable; Cost is guarded by mu
+	state       []candState
 	seq         int64 // queries planned so far
 	mispredicts int64
-	last        Decision
-	lastStats   search.Stats
 }
 
 // New builds a Planner over the candidate pool. Non-exact candidates
@@ -153,8 +153,8 @@ func New(cands []Candidate, o Options) (*Planner, error) {
 // Candidates lists the candidate method names in pool order.
 func (p *Planner) Candidates() []string {
 	out := make([]string, len(p.cands))
-	for i, c := range p.cands {
-		out[i] = c.Name
+	for i := range p.cands {
+		out[i] = p.cands[i].Name
 	}
 	return out
 }
@@ -167,6 +167,8 @@ func (p *Planner) SetCalibration(c *Calibration) {
 	if c == nil {
 		return
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i := range p.cands {
 		if m, ok := c.Methods[p.cands[i].Name]; ok {
 			p.cands[i].Cost = m
@@ -181,6 +183,8 @@ func (p *Planner) SetCalibration(c *Calibration) {
 // off.
 func (p *Planner) Calibration() *Calibration {
 	out := &Calibration{Schema: Schema, Methods: map[string]method.CostModel{}}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i, c := range p.cands {
 		m := c.Cost
 		if st := &p.state[i]; st.queries > 0 {
@@ -251,54 +255,58 @@ func (p *Planner) pick(f method.Features) (i int, reason string) {
 	return best, ReasonCost
 }
 
-// Search implements search.Searcher by delegating to the planned
-// candidate.
-func (p *Planner) Search(q []float64, k int) []topk.Result {
-	res, _ := p.SearchContext(context.Background(), q, k)
-	return res
+// SearchContext implements search.Searcher: Route without the
+// decision.
+func (p *Planner) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
+	res, st, _, err := p.Route(ctx, q, k)
+	return res, st, err
 }
 
-// SearchContext plans and delegates one query. The chosen method and
-// reason are attached to the context's span as plan.method and
-// plan.reason; the result, error, and subsequent Stats() are exactly
-// the chosen candidate's.
-func (p *Planner) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+// Route plans and delegates one query and returns the chosen
+// candidate's results, stats and error unchanged, plus the decision.
+// The chosen method, reason and predicted cost are attached to the
+// context's span as plan.method, plan.reason and plan.predicted_us.
+func (p *Planner) Route(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, Decision, error) {
 	f := p.features(k)
+	p.mu.Lock()
 	i, reason := p.pick(f)
-	st := &p.state[i]
 	pred := p.predict(i, f)
-	st.chosen++
-	st.reasons[reason]++
-	st.lastChosen = p.seq
+	cs := &p.state[i]
+	cs.chosen++
+	cs.reasons[reason]++
+	cs.lastChosen = p.seq
 	p.seq++
+	p.mu.Unlock()
 
+	name := p.cands[i].Name
 	if sp := obs.SpanFrom(ctx); sp != nil {
-		sp.AttrStr("plan.method", p.cands[i].Name)
+		sp.AttrStr("plan.method", name)
 		sp.AttrStr("plan.reason", reason)
+		sp.AttrInt("plan.predicted_us", int64(pred*1e6))
 	}
 	start := time.Now()
-	res, err := p.cands[i].Searcher.SearchContext(ctx, q, k)
-	observed := time.Since(start).Seconds()
-	p.lastStats = p.cands[i].Searcher.Stats()
-
-	d := Decision{Method: p.cands[i].Name, Reason: reason, Predicted: pred, Observed: observed, Cancelled: err != nil}
-	p.last = d
+	res, st, err := p.cands[i].Searcher.SearchContext(ctx, q, k)
+	d := Decision{Method: name, Reason: reason, Predicted: pred, Observed: time.Since(start).Seconds(), Cancelled: err != nil}
 	if err == nil {
-		p.observe(i, f, pred, observed, reason)
+		p.mu.Lock()
+		p.observe(i, f, d, st)
+		p.mu.Unlock()
 	}
 	if p.opts.OnDecision != nil {
 		p.opts.OnDecision(d)
 	}
-	return res, err
+	return res, st, d, err
 }
 
 // observe folds one completed query into candidate i's calibration.
-func (p *Planner) observe(i int, f method.Features, pred, observed float64, reason string) {
+// Caller holds p.mu.
+func (p *Planner) observe(i int, f method.Features, d Decision, stats search.Stats) {
 	st := &p.state[i]
 	a := p.opts.Alpha
+	pred, observed := d.Predicted, d.Observed
 	prune := 0.0
 	if f.N > 0 {
-		prune = float64(p.lastStats.TotalPruned()) / float64(f.N)
+		prune = float64(stats.TotalPruned()) / float64(f.N)
 		if prune < 0 {
 			prune = 0
 		} else if prune > 1 {
@@ -325,31 +333,13 @@ func (p *Planner) observe(i int, f method.Features, pred, observed float64, reas
 	// query taught us, some other candidate still predicts materially
 	// (25%) cheaper than what the chosen one actually cost. Warmups and
 	// probes are deliberately non-optimal and never count.
-	if reason == ReasonCost && len(p.cands) > 1 {
+	if d.Reason == ReasonCost && len(p.cands) > 1 {
 		f.PruneFrac = -1
 		for j := range p.cands {
 			if j != i && p.predict(j, f)*1.25 < observed {
 				p.mispredicts++
 				break
 			}
-		}
-	}
-}
-
-// Stats implements search.Searcher: the counters of the method the
-// last query was delegated to, unchanged.
-func (p *Planner) Stats() search.Stats { return p.lastStats }
-
-// LastDecision reports the most recent query's plan.
-func (p *Planner) LastDecision() Decision { return p.last }
-
-// SetFaultHook forwards the hook to every candidate that accepts one
-// (all searchers in this repository do), so fault-injection tests can
-// cancel whichever method the planner picks.
-func (p *Planner) SetFaultHook(h *faults.Hook) {
-	for _, c := range p.cands {
-		if fs, ok := c.Searcher.(interface{ SetFaultHook(*faults.Hook) }); ok {
-			fs.SetFaultHook(h)
 		}
 	}
 }
@@ -377,6 +367,8 @@ type Summary struct {
 // Summary snapshots decisions, mispredicts, and per-method
 // predicted-vs-observed EWMAs.
 func (p *Planner) Summary() Summary {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	s := Summary{Queries: p.seq, Mispredicts: p.mispredicts}
 	if p.seq > 0 {
 		s.MispredictRate = float64(p.mispredicts) / float64(p.seq)
@@ -399,4 +391,4 @@ func (p *Planner) Summary() Summary {
 	return s
 }
 
-var _ search.ContextSearcher = (*Planner)(nil)
+var _ search.Searcher = (*Planner)(nil)

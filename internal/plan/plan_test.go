@@ -22,20 +22,13 @@ type fakeCand struct {
 	calls int
 }
 
-func (f *fakeCand) Search(q []float64, k int) []topk.Result {
-	r, _ := f.SearchContext(context.Background(), q, k)
-	return r
-}
-
-func (f *fakeCand) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+func (f *fakeCand) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	f.calls++
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
-	return []topk.Result{{ID: f.id, Score: float64(f.id)}}, nil
+	return []topk.Result{{ID: f.id, Score: float64(f.id)}}, f.stats, nil
 }
-
-func (f *fakeCand) Stats() search.Stats { return f.stats }
 
 func newTestPlanner(t *testing.T, o Options, cands ...Candidate) *Planner {
 	t.Helper()
@@ -54,23 +47,23 @@ func TestPlannerWarmsUpEveryCandidate(t *testing.T) {
 		Candidate{Name: "B", Searcher: b, Exact: true, Cost: method.CostModel{PerDim: 1e-9, PrunePrior: 0.9}},
 	)
 	q := []float64{1}
-	res, err := p.SearchContext(context.Background(), q, 1)
+	res, got, d, err := p.Route(context.Background(), q, 1)
 	if err != nil || len(res) != 1 || res[0].ID != 1 {
 		t.Fatalf("first query: res=%v err=%v, want candidate A's result", res, err)
 	}
-	if d := p.LastDecision(); d.Method != "A" || d.Reason != ReasonWarmup {
+	if d.Method != "A" || d.Reason != ReasonWarmup {
 		t.Fatalf("decision %+v, want A/warmup", d)
 	}
-	if got := p.Stats(); got != a.stats {
-		t.Fatalf("Stats() = %+v, want delegated %+v", got, a.stats)
+	if got != a.stats {
+		t.Fatalf("stats = %+v, want delegated %+v", got, a.stats)
 	}
-	_, _ = p.SearchContext(context.Background(), q, 1)
-	if d := p.LastDecision(); d.Method != "B" || d.Reason != ReasonWarmup {
+	_, _, d, _ = p.Route(context.Background(), q, 1)
+	if d.Method != "B" || d.Reason != ReasonWarmup {
 		t.Fatalf("second decision %+v, want B/warmup", d)
 	}
 	// Warmed up: all further decisions are cost-driven.
-	_, _ = p.SearchContext(context.Background(), q, 1)
-	if d := p.LastDecision(); d.Reason != ReasonCost {
+	_, _, d, _ = p.Route(context.Background(), q, 1)
+	if d.Reason != ReasonCost {
 		t.Fatalf("third decision %+v, want reason cost", d)
 	}
 	if a.calls+b.calls != 3 {
@@ -89,10 +82,11 @@ func TestPlannerPrefersObservedCheaper(t *testing.T) {
 		Candidate{Name: "fast", Searcher: fast, Exact: true, Cost: cost},
 	)
 	q := []float64{1}
+	var d Decision
 	for i := 0; i < 10; i++ {
-		_, _ = p.SearchContext(context.Background(), q, 1)
+		_, _, d, _ = p.Route(context.Background(), q, 1)
 	}
-	if d := p.LastDecision(); d.Method != "fast" || d.Reason != ReasonCost {
+	if d.Method != "fast" || d.Reason != ReasonCost {
 		t.Fatalf("steady-state decision %+v, want fast/cost", d)
 	}
 	sum := p.Summary()
@@ -123,8 +117,7 @@ func TestPlannerProbesStaleCandidate(t *testing.T) {
 	q := []float64{1}
 	probes := 0
 	for i := 0; i < 25; i++ {
-		_, _ = p.SearchContext(context.Background(), q, 1)
-		if p.LastDecision().Reason == ReasonProbe {
+		if _, _, d, _ := p.Route(context.Background(), q, 1); d.Reason == ReasonProbe {
 			probes++
 		}
 	}
@@ -150,14 +143,14 @@ func TestPlannerCountsMispredicts(t *testing.T) {
 		Candidate{Name: "drifty", Searcher: drifty, Exact: true, Cost: cost},
 	)
 	q := []float64{1}
-	_, _ = p.SearchContext(context.Background(), q, 1) // warmup steady (2ms)
-	_, _ = p.SearchContext(context.Background(), q, 1) // warmup drifty (~0)
-	drifty.delay = 20 * time.Millisecond               // the world changes
-	res, err := p.SearchContext(context.Background(), q, 1)
+	_, _, _ = p.SearchContext(context.Background(), q, 1) // warmup steady (2ms)
+	_, _, _ = p.SearchContext(context.Background(), q, 1) // warmup drifty (~0)
+	drifty.delay = 20 * time.Millisecond                  // the world changes
+	res, _, d, err := p.Route(context.Background(), q, 1)
 	if err != nil || len(res) != 1 || res[0].ID != 2 {
 		t.Fatalf("post-drift query: res=%v err=%v, want drifty's exact result", res, err)
 	}
-	if d := p.LastDecision(); d.Method != "drifty" || d.Reason != ReasonCost {
+	if d.Method != "drifty" || d.Reason != ReasonCost {
 		t.Fatalf("post-drift decision %+v, want drifty/cost", d)
 	}
 	sum := p.Summary()
@@ -169,8 +162,8 @@ func TestPlannerCountsMispredicts(t *testing.T) {
 	}
 	// With Alpha=1 the drift observation replaces the stale EWMA, so
 	// the planner immediately routes back to the steady candidate.
-	_, _ = p.SearchContext(context.Background(), q, 1)
-	if d := p.LastDecision(); d.Method != "steady" {
+	_, _, d, _ = p.Route(context.Background(), q, 1)
+	if d.Method != "steady" {
 		t.Fatalf("recovery decision %+v, want steady", d)
 	}
 }

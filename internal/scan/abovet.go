@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 
+	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -11,7 +12,7 @@ import (
 // SearchAbove returns every item with qᵀp ≥ t by exhaustive scan — the
 // ground truth for the above-t retrieval mode.
 func (n *Naive) SearchAbove(q []float64, t float64) []topk.Result {
-	res, _ := n.SearchAboveContext(context.Background(), q, t)
+	res, _, _ := n.SearchAboveContext(context.Background(), q, t)
 	return res
 }
 
@@ -20,26 +21,21 @@ func (n *Naive) SearchAbove(q []float64, t float64) []topk.Result {
 // (sorted) qualifying items found so far with an ErrDeadline-wrapping
 // error; on cancellation the set may be missing items, but every
 // returned score is a true inner product.
-func (n *Naive) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
-	n.stats = search.Stats{}
+func (n *Naive) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, search.Stats, error) {
 	done := ctx.Done()
-	hook := n.hook
+	hook := faults.HookFrom(ctx)
 	var out []topk.Result
 	for i := 0; i < n.items.Rows; i++ {
 		if hook != nil || (done != nil && i&search.StrideMask == 0) {
 			if err := search.Poll(ctx, hook, i); err != nil {
-				n.stats.Scanned = i
-				n.stats.FullProducts = i
 				topk.SortResults(out)
-				return out, err
+				return out, search.Stats{Scanned: i, FullProducts: i}, err
 			}
 		}
 		if v := vec.Dot(q, n.items.Row(i)); v >= t {
 			out = append(out, topk.Result{ID: i, Score: v})
 		}
 	}
-	n.stats.Scanned = n.items.Rows
-	n.stats.FullProducts = n.items.Rows
 	topk.SortResults(out)
-	return out, nil
+	return out, search.Stats{Scanned: n.items.Rows, FullProducts: n.items.Rows}, nil
 }

@@ -15,19 +15,19 @@ import (
 )
 
 func TestNaiveCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		return scan.NewNaive(items)
 	}, "Naive")
 }
 
 func TestSSCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		return scan.NewSS(items, 0)
 	}, "SS")
 }
 
 func TestSSLCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		return scan.NewSSL(items, scan.SSLOptions{})
 	}, "SS-L")
 }
@@ -53,25 +53,24 @@ func TestDeadlineAcceptance(t *testing.T) {
 	reg := faults.NewRegistry(7)
 	// Sleep 2 ms at item 0 only: the 1 ms deadline is stale before the
 	// first poll completes.
-	s.SetFaultHook(reg.Enable(faults.SiteScan, faults.Plan{
+	hook := reg.Enable(faults.SiteScan, faults.Plan{
 		ItemLatency:      2 * time.Millisecond,
 		ItemLatencyEvery: 1 << 30,
-	}))
-	defer s.SetFaultHook(nil)
+	})
 
 	// Wall-clock assertions flake on loaded machines; accept the fastest
 	// of a few attempts but require correct semantics on every attempt.
 	best := time.Duration(1 << 62)
 	for attempt := 0; attempt < 5; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		ctx, cancel := context.WithTimeout(faults.WithHook(context.Background(), hook), time.Millisecond)
 		start := time.Now()
-		res, err := s.SearchContext(ctx, q, 10)
+		res, st, err := s.SearchContext(ctx, q, 10)
 		took := time.Since(start)
 		cancel()
 		if !errors.Is(err, search.ErrDeadline) {
 			t.Fatalf("attempt %d: err = %v, want ErrDeadline", attempt, err)
 		}
-		if len(res) >= 10 && s.Stats().Scanned >= n {
+		if len(res) >= 10 && st.Scanned >= n {
 			t.Fatalf("attempt %d: scan ran to completion despite 1ms deadline", attempt)
 		}
 		if took < best {
@@ -98,7 +97,7 @@ func TestDeadlineUnexpiredIsExact(t *testing.T) {
 	s := scan.NewNaive(items)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	res, err := s.SearchContext(ctx, q, 10)
+	res, _, err := s.SearchContext(ctx, q, 10)
 	if err != nil {
 		t.Fatalf("unexpired deadline returned error %v", err)
 	}

@@ -23,8 +23,6 @@ import (
 // truth for all exactness tests.
 type Naive struct {
 	items *vec.Matrix
-	hook  *faults.Hook
-	stats search.Stats
 }
 
 // NewNaive indexes the item matrix (rows are item vectors). The matrix is
@@ -33,26 +31,20 @@ func NewNaive(items *vec.Matrix) *Naive {
 	return &Naive{items: items}
 }
 
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook called once per scanned item.
-func (n *Naive) SetFaultHook(h *faults.Hook) { n.hook = h }
-
-// Search implements search.Searcher.
+// Search returns the top-k of q: SearchContext without a deadline.
 func (n *Naive) Search(q []float64, k int) []topk.Result {
-	res, _ := n.SearchContext(context.Background(), q, k)
+	res, _, _ := n.SearchContext(context.Background(), q, k)
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: the scan polls ctx
-// every search.CheckStride items and returns the best-so-far partial
-// top-k with an ErrDeadline-wrapping error on cancellation.
-func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	n.stats = search.Stats{}
+// SearchContext implements search.Searcher: the scan polls ctx every
+// search.CheckStride items and returns the best-so-far partial top-k
+// with an ErrDeadline-wrapping error on cancellation.
+func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
+	var st search.Stats
 	c := topk.New(k)
-	if err := n.scanRange(ctx, n.hook, q, 0, n.items.Rows, c, &n.stats); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	err := n.scanRange(ctx, faults.HookFrom(ctx), q, 0, n.items.Rows, c, &st)
+	return c.Results(), st, err
 }
 
 // scanRange scans rows [lo, hi), offering every inner product to c.
@@ -108,7 +100,4 @@ func (n *Naive) scanRange(ctx context.Context, hook *faults.Hook, q []float64, l
 	return nil
 }
 
-// Stats implements search.Searcher.
-func (n *Naive) Stats() search.Stats { return n.stats }
-
-var _ search.ContextSearcher = (*Naive)(nil)
+var _ search.Searcher = (*Naive)(nil)

@@ -1,6 +1,7 @@
 package scan_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,8 +21,7 @@ func TestNaiveStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	items, q := searchtest.RandomInstance(rng, 100, 8)
 	n := scan.NewNaive(items)
-	n.Search(q, 5)
-	st := n.Stats()
+	_, st, _ := n.SearchContext(context.Background(), q, 5)
 	if st.Scanned != 100 || st.FullProducts != 100 {
 		t.Fatalf("stats = %+v, want 100 scanned/full", st)
 	}
@@ -55,8 +55,7 @@ func TestSSPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	items, q := searchtest.RandomInstance(rng, 2000, 16)
 	s := scan.NewSS(items, 0)
-	s.Search(q, 1)
-	st := s.Stats()
+	_, st, _ := s.SearchContext(context.Background(), q, 1)
 	if st.PrunedByLength == 0 {
 		t.Error("SS never used Cauchy–Schwarz termination on skewed data")
 	}
@@ -98,8 +97,8 @@ func TestSSLPrunesMoreThanNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items, q := searchtest.RandomInstance(rng, 3000, 16)
 	s := scan.NewSSL(items, scan.SSLOptions{})
-	s.Search(q, 1)
-	if st := s.Stats(); st.FullProducts >= 3000 {
+	_, st, _ := s.SearchContext(context.Background(), q, 1)
+	if st.FullProducts >= 3000 {
 		t.Errorf("SSL computed %d/%d full products", st.FullProducts, 3000)
 	}
 }

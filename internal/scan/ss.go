@@ -19,8 +19,6 @@ type SS struct {
 	norms     []float64   // ‖p‖ per sorted row
 	tailNorms []float64   // ‖p^h‖ (coordinates w..d) per sorted row
 	w         int
-	hook      *faults.Hook
-	stats     search.Stats
 }
 
 // NewSS indexes items (rows are item vectors; the matrix is copied so the
@@ -61,13 +59,9 @@ func clampW(w, d int) int {
 // W returns the checking dimension in use.
 func (s *SS) W() int { return s.w }
 
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook called once per scanned item.
-func (s *SS) SetFaultHook(h *faults.Hook) { s.hook = h }
-
-// Search implements search.Searcher.
+// Search returns the top-k of q: SearchContext without a deadline.
 func (s *SS) Search(q []float64, k int) []topk.Result {
-	res, _ := s.SearchContext(context.Background(), q, k)
+	res, _, _ := s.SearchContext(context.Background(), q, k)
 	return res
 }
 
@@ -85,17 +79,15 @@ func (s *SS) prepareQuery(q []float64) *ssQuery {
 	return &ssQuery{q: q, qNorm: vec.Norm(q), qTail: vec.NormRange(q, s.w, len(q))}
 }
 
-// SearchContext implements search.ContextSearcher: the scan polls ctx
-// every search.CheckStride items and returns the best-so-far partial
-// top-k with an ErrDeadline-wrapping error on cancellation.
-func (s *SS) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+// SearchContext implements search.Searcher: the scan polls ctx every
+// search.CheckStride items and returns the best-so-far partial top-k
+// with an ErrDeadline-wrapping error on cancellation.
+func (s *SS) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	qs := s.prepareQuery(q)
-	s.stats = search.Stats{}
+	var st search.Stats
 	c := topk.New(k)
-	if err := s.scanRange(ctx, s.hook, qs, 0, s.items.Rows, c, nil, &s.stats); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	err := s.scanRange(ctx, faults.HookFrom(ctx), qs, 0, s.items.Rows, c, nil, &st)
+	return c.Results(), st, err
 }
 
 // scanRange is Algorithm 1 over the sorted rows [lo, hi): Cauchy–
@@ -154,7 +146,4 @@ func (s *SS) coordinateScan(qs *ssQuery, p []float64, pTail, t float64, stats *s
 	return v + vec.DotRange(q, p, s.w, d), true
 }
 
-// Stats implements search.Searcher.
-func (s *SS) Stats() search.Stats { return s.stats }
-
-var _ search.ContextSearcher = (*SS)(nil)
+var _ search.Searcher = (*SS)(nil)

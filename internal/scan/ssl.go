@@ -24,8 +24,6 @@ type SSL struct {
 	norms     []float64 // original ‖p‖ per sorted row
 	tailNorms []float64 // ‖p'^h‖ on the unit vectors, coordinates w..d
 	w         int
-	hook      *faults.Hook
-	stats     search.Stats
 }
 
 // SSLOptions configures SS-L construction.
@@ -93,8 +91,7 @@ func (s *SSL) tuneW(samples *vec.Matrix, k int) {
 		s.setW(w)
 		var cost float64
 		for i := 0; i < samples.Rows; i++ {
-			s.Search(samples.Row(i), k)
-			st := s.stats
+			_, st, _ := s.SearchContext(context.Background(), samples.Row(i), k)
 			cost += float64(st.Scanned*w + st.FullProducts*(d-w))
 		}
 		if cost < bestCost {
@@ -107,13 +104,9 @@ func (s *SSL) tuneW(samples *vec.Matrix, k int) {
 // W returns the checking dimension in use.
 func (s *SSL) W() int { return s.w }
 
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook called once per scanned item.
-func (s *SSL) SetFaultHook(h *faults.Hook) { s.hook = h }
-
-// Search implements search.Searcher.
+// Search returns the top-k of q: SearchContext without a deadline.
 func (s *SSL) Search(q []float64, k int) []topk.Result {
-	res, _ := s.SearchContext(context.Background(), q, k)
+	res, _, _ := s.SearchContext(context.Background(), q, k)
 	return res
 }
 
@@ -150,17 +143,15 @@ func (s *SSL) prepareQuery(q []float64) *sslQuery {
 	return qs
 }
 
-// SearchContext implements search.ContextSearcher: the scan polls ctx
-// every search.CheckStride items and returns the best-so-far partial
-// top-k with an ErrDeadline-wrapping error on cancellation.
-func (s *SSL) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+// SearchContext implements search.Searcher: the scan polls ctx every
+// search.CheckStride items and returns the best-so-far partial top-k
+// with an ErrDeadline-wrapping error on cancellation.
+func (s *SSL) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
 	qs := s.prepareQuery(q)
-	s.stats = search.Stats{}
+	var st search.Stats
 	c := topk.New(k)
-	if err := s.scanRange(ctx, s.hook, qs, 0, s.unit.Rows, c, nil, &s.stats); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	err := s.scanRange(ctx, faults.HookFrom(ctx), qs, 0, s.unit.Rows, c, nil, &st)
+	return c.Results(), st, err
 }
 
 // scanRange is the SS-L scan over the sorted rows [lo, hi). Pruning is
@@ -235,7 +226,4 @@ func (s *SSL) scanRange(ctx context.Context, hook *faults.Hook, qs *sslQuery, lo
 	return nil
 }
 
-// Stats implements search.Searcher.
-func (s *SSL) Stats() search.Stats { return s.stats }
-
-var _ search.ContextSearcher = (*SSL)(nil)
+var _ search.Searcher = (*SSL)(nil)

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"fexipro/internal/faults"
-	"fexipro/internal/topk"
 )
 
 // ErrDeadline is returned by SearchContext when the query is cancelled
@@ -33,19 +33,6 @@ const CheckStride = 1024
 // poll tests.
 const StrideMask = CheckStride - 1
 
-// ContextSearcher is a Searcher with a cancellable entrypoint. Every
-// searcher in this repository implements it natively: the scan loops
-// poll ctx every CheckStride items and return partial results with an
-// ErrDeadline-wrapping error on cancellation.
-type ContextSearcher interface {
-	Searcher
-	// SearchContext behaves like Search but honours ctx: on
-	// cancellation it promptly returns the best-so-far results and an
-	// error satisfying errors.Is(err, ErrDeadline). A nil error flags
-	// the results as exact.
-	SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error)
-}
-
 // Canceled wraps cause so the result satisfies
 // errors.Is(err, ErrDeadline), preserving an already-wrapped error.
 func Canceled(cause error) error {
@@ -63,7 +50,7 @@ func Canceled(cause error) error {
 // index lands on a stride boundary:
 //
 //	done := ctx.Done()
-//	hook := s.hook
+//	hook := faults.HookFrom(ctx)
 //	for i := 0; i < n; i++ {
 //		if hook != nil || (done != nil && i&search.StrideMask == 0) {
 //			if err := search.Poll(ctx, hook, i); err != nil {
@@ -82,11 +69,18 @@ func Poll(ctx context.Context, hook *faults.Hook, i int) error {
 	// run hook == nil) the context is checked on every call, not just at
 	// stride boundaries: injected per-item latency simulates a
 	// pathologically slow scan, and a deadline must cut that scan short
-	// even when pruning ends it before the next stride boundary.
+	// even when pruning ends it before the next stride boundary. The
+	// deadline is also compared against the clock, because on a loaded
+	// machine the timer that closes ctx.Done() can run well after an
+	// injected stall has outlasted it; a stalled scan must never be
+	// reported as an on-time exact answer.
 	checkCtx := i&StrideMask == 0
 	if hook != nil {
 		if err := hook.OnItem(i); err != nil {
 			return Canceled(err)
+		}
+		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+			return Canceled(context.DeadlineExceeded)
 		}
 		checkCtx = true
 	}
@@ -98,24 +92,4 @@ func Poll(ctx context.Context, hook *faults.Hook, i int) error {
 		}
 	}
 	return nil
-}
-
-// WithContext returns s as a ContextSearcher: s itself when it
-// implements SearchContext natively, otherwise an adapter that checks
-// ctx once on entry (a completed scan is exact, so the adapter never
-// flags finished results).
-func WithContext(s Searcher) ContextSearcher {
-	if cs, ok := s.(ContextSearcher); ok {
-		return cs
-	}
-	return ctxAdapter{s}
-}
-
-type ctxAdapter struct{ Searcher }
-
-func (a ctxAdapter) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
-	}
-	return a.Search(q, k), nil
 }

@@ -4,18 +4,25 @@
 // distribution figures (Figures 9 and 12).
 package search
 
-import "fexipro/internal/topk"
+import (
+	"context"
+
+	"fexipro/internal/topk"
+)
 
 // Searcher answers exact (or, for PCATree, approximate) top-k inner
-// product queries against a fixed item matrix.
+// product queries against a fixed item matrix. A search is a pure
+// function of the index and one query: it returns its own stage
+// counters, and the scan-site fault hook, if any, rides ctx
+// (faults.WithHook), so implementations keep no per-query state.
 type Searcher interface {
-	// Search returns the k items with the largest inner products with q,
-	// sorted by descending score. Fewer than k results are returned only
-	// when the index holds fewer than k items.
-	Search(q []float64, k int) []topk.Result
-	// Stats returns the counters accumulated by the most recent Search
-	// call. Implementations that do not track a counter leave it zero.
-	Stats() Stats
+	// SearchContext returns the k items with the largest inner products
+	// with q, sorted by descending score, and the work the call did.
+	// Fewer than k results are returned only when the index holds fewer
+	// than k items. On cancellation it returns the best-so-far partial
+	// top-k, the counters of the work done so far, and an
+	// ErrDeadline-wrapping error; a nil error flags the results exact.
+	SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, Stats, error)
 }
 
 // Stats counts the work done by one Search call.

@@ -10,6 +10,7 @@ import (
 	"fexipro/internal/method"
 	"fexipro/internal/plan"
 	"fexipro/internal/search"
+	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
 
@@ -22,8 +23,8 @@ var PlannerShardCounts = []int{1, 4}
 // For every query, at shards ∈ {1, 4}:
 //
 //   - the result set is bit-identical to what the chosen candidate
-//     (LastDecision().Method) returns for the same query, and the
-//     planner's Stats() are exactly that candidate's stage counters;
+//     (the decision's Method) returns for the same query, and the
+//     returned stats are exactly that candidate's stage counters;
 //   - cancellation behaves as if the chosen method had been called
 //     directly — a fired fault yields an ErrDeadline-wrapping error
 //     with true-score, sorted partial results, and the decision is
@@ -49,13 +50,26 @@ func CheckPlannerExact(t *testing.T, names []string, label string) {
 	}
 }
 
+// recorder wraps a candidate and keeps the stats of its last call, so
+// the harness can check the planner passes them through unchanged.
+type recorder struct {
+	search.Searcher
+	last search.Stats
+}
+
+func (r *recorder) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
+	res, st, err := r.Searcher.SearchContext(ctx, q, k)
+	r.last = st
+	return res, st, err
+}
+
 // buildPlanner constructs a planner over registry methods plus the map
 // of candidate searchers by canonical name (the same instances the
 // planner routes to, so comparisons are against identical state).
-func buildPlanner(t *testing.T, names []string, items *vec.Matrix, shards int, label string) (*plan.Planner, map[string]search.ContextSearcher) {
+func buildPlanner(t *testing.T, names []string, items *vec.Matrix, shards int, label string) (*plan.Planner, map[string]*recorder) {
 	t.Helper()
 	var cands []plan.Candidate
-	byName := make(map[string]search.ContextSearcher, len(names))
+	byName := make(map[string]*recorder, len(names))
 	for _, name := range names {
 		d, err := method.Get(name)
 		if err != nil {
@@ -65,7 +79,7 @@ func buildPlanner(t *testing.T, names []string, items *vec.Matrix, shards int, l
 		if err != nil {
 			t.Fatalf("%s: building %s: %v", label, name, err)
 		}
-		cs := search.WithContext(s)
+		cs := &recorder{Searcher: s}
 		cands = append(cands, plan.Candidate{Name: d.Name, Searcher: cs, Cost: d.Cost, Exact: d.Exact})
 		byName[d.Name] = cs
 	}
@@ -79,15 +93,14 @@ func buildPlanner(t *testing.T, names []string, items *vec.Matrix, shards int, l
 // checkDelegation verifies result and stats identity between the
 // planner and its chosen candidate across enough queries to leave
 // warmup and exercise cost decisions.
-func checkDelegation(t *testing.T, rng *rand.Rand, p *plan.Planner, cands map[string]search.ContextSearcher, items *vec.Matrix, k, shards int, label string) {
+func checkDelegation(t *testing.T, rng *rand.Rand, p *plan.Planner, cands map[string]*recorder, items *vec.Matrix, k, shards int, label string) {
 	t.Helper()
 	for trial := 0; trial < 12; trial++ {
 		q := randomQuery(rng, items.Cols)
-		res, err := p.SearchContext(context.Background(), q, k)
+		res, st, d, err := p.Route(context.Background(), q, k)
 		if err != nil {
 			t.Fatalf("%s shards=%d trial %d: %v", label, shards, trial, err)
 		}
-		d := p.LastDecision()
 		chosen, ok := cands[d.Method]
 		if !ok {
 			t.Fatalf("%s shards=%d: decision names unknown candidate %q", label, shards, d.Method)
@@ -95,17 +108,13 @@ func checkDelegation(t *testing.T, rng *rand.Rand, p *plan.Planner, cands map[st
 		// Stats identity: the planner's counters ARE the chosen
 		// candidate's counters for this query — nothing added, nothing
 		// rescaled. (Read before re-running the candidate below.)
-		cs, ok := chosen.(interface{ Stats() search.Stats })
-		if !ok {
-			t.Fatalf("%s: candidate %s exposes no Stats()", label, d.Method)
-		}
-		if got, want := p.Stats(), cs.Stats(); got != want {
-			t.Fatalf("%s shards=%d: planner stats %+v != chosen %s stats %+v", label, shards, got, d.Method, want)
+		if st != chosen.last {
+			t.Fatalf("%s shards=%d: planner stats %+v != chosen %s stats %+v", label, shards, st, d.Method, chosen.last)
 		}
 		// Result identity: the same candidate instance answering the
 		// same query must return the planner's exact result set, bit
 		// for bit.
-		want, werr := chosen.SearchContext(context.Background(), q, k)
+		want, _, werr := chosen.SearchContext(context.Background(), q, k)
 		if werr != nil {
 			t.Fatalf("%s shards=%d: re-running %s: %v", label, shards, d.Method, werr)
 		}
@@ -133,10 +142,7 @@ func checkPlannerCancellation(t *testing.T, rng *rand.Rand, p *plan.Planner, ite
 		cancelAt := 1 + rng.Intn(400)
 		reg := faults.NewRegistry(int64(4000 + trial))
 		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-		p.SetFaultHook(hook)
-		res, err := p.SearchContext(context.Background(), q, k)
-		p.SetFaultHook(nil)
-		d := p.LastDecision()
+		res, _, d, err := p.Route(faults.WithHook(context.Background(), hook), q, k)
 		if hook.Counts().Cancels > 0 {
 			fired++
 			if err == nil {
@@ -166,7 +172,7 @@ func checkPlannerCancellation(t *testing.T, rng *rand.Rand, p *plan.Planner, ite
 	}
 	// Cancelled observations must not poison routing: the next clean
 	// query is still exact.
-	res, err := p.SearchContext(context.Background(), q, k)
+	res, _, err := p.SearchContext(context.Background(), q, k)
 	if err != nil {
 		t.Fatalf("%s shards=%d: post-cancel query errored: %v", label, shards, err)
 	}
@@ -192,7 +198,7 @@ func checkMispredictingModel(t *testing.T, rng *rand.Rand, p *plan.Planner, item
 	p.SetCalibration(bad)
 	for trial := 0; trial < 8; trial++ {
 		q := randomQuery(rng, items.Cols)
-		res, err := p.SearchContext(context.Background(), q, k)
+		res, _, err := p.SearchContext(context.Background(), q, k)
 		if err != nil {
 			t.Fatalf("%s shards=%d mispredict trial %d: %v", label, shards, trial, err)
 		}

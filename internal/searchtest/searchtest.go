@@ -94,17 +94,15 @@ func CheckSearcher(t *testing.T, build func(items *vec.Matrix) search.Searcher, 
 			for j := range q {
 				q[j] = rng.NormFloat64()
 			}
-			got := s.Search(q, c.k)
-			CheckTopK(t, items, q, c.k, got, label)
+			CheckTopK(t, items, q, c.k, topK(s, q, c.k), label)
 		}
 	}
 }
 
-// FaultSearcher is a context-aware searcher that accepts a
-// fault-injection hook — every searcher in this repository.
-type FaultSearcher interface {
-	search.ContextSearcher
-	SetFaultHook(*faults.Hook)
+// topK runs one uncancelled query and keeps only the results.
+func topK(s search.Searcher, q []float64, k int) []topk.Result {
+	res, _, _ := s.SearchContext(context.Background(), q, k)
+	return res
 }
 
 // CheckCancellation is the cancellation property suite shared by every
@@ -114,7 +112,7 @@ type FaultSearcher interface {
 // ID, partial results stay sorted, a hook that never fires leaves the
 // results identical to the uncancelled baseline, and an
 // already-cancelled context returns promptly with ErrDeadline.
-func CheckCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string) {
+func CheckCancellation(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	checkCancellation(t, build, label, true)
 }
@@ -124,12 +122,12 @@ func CheckCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 // but every other invariant — never-exact-when-cut-short, true scores,
 // sortedness, unfired-hook determinism, prompt pre-cancelled return —
 // still holds.
-func CheckCancellationApprox(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string) {
+func CheckCancellationApprox(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	checkCancellation(t, build, label, false)
 }
 
-func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string, exact bool) {
+func checkCancellation(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string, exact bool) {
 	t.Helper()
 	const seed = 20240611
 	rng := rand.New(rand.NewSource(seed))
@@ -137,7 +135,7 @@ func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 	const k = 10
 	s := build(items)
 
-	base, err := s.SearchContext(context.Background(), q, k)
+	base, _, err := s.SearchContext(context.Background(), q, k)
 	if err != nil {
 		t.Fatalf("%s: uncancelled SearchContext error: %v", label, err)
 	}
@@ -149,9 +147,7 @@ func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 		cancelAt := 1 + rng.Intn(600) // may exceed the work actually done
 		reg := faults.NewRegistry(seed + int64(trial))
 		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-		s.SetFaultHook(hook)
-		res, err := s.SearchContext(context.Background(), q, k)
-		s.SetFaultHook(nil)
+		res, _, err := s.SearchContext(faults.WithHook(context.Background(), hook), q, k)
 
 		if hook.Counts().Cancels > 0 {
 			// The scan was cut short: flagging these results exact (nil
@@ -194,7 +190,7 @@ func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 	// An already-cancelled context returns promptly with ErrDeadline.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SearchContext(ctx, q, k); !errors.Is(err, search.ErrDeadline) {
+	if _, _, err := s.SearchContext(ctx, q, k); !errors.Is(err, search.ErrDeadline) {
 		t.Fatalf("%s: pre-cancelled context error = %v, want ErrDeadline", label, err)
 	}
 }
@@ -210,13 +206,13 @@ func CheckSearcherEdgeCases(t *testing.T, build func(items *vec.Matrix) search.S
 	items := vec.FromRows([][]float64{row, row, row, {0, 0, 0}, {-5, -5, -5}})
 	s := build(items)
 	q := []float64{1, 0.2, 0.1}
-	CheckTopK(t, items, q, 3, s.Search(q, 3), label+"/duplicates")
+	CheckTopK(t, items, q, 3, topK(s, q, 3), label+"/duplicates")
 
 	// Zero query vector.
 	items2, _ := RandomInstance(rng, 40, 6)
 	s2 := build(items2)
 	zq := make([]float64, 6)
-	got := s2.Search(zq, 4)
+	got := topK(s2, zq, 4)
 	if len(got) != 4 {
 		t.Fatalf("%s: zero query returned %d results", label, len(got))
 	}
@@ -233,7 +229,7 @@ func CheckSearcherEdgeCases(t *testing.T, build func(items *vec.Matrix) search.S
 	}
 	s3 := build(neg)
 	q3 := []float64{1, 2, 3, 4}
-	CheckTopK(t, neg, q3, 5, s3.Search(q3, 5), label+"/negative")
+	CheckTopK(t, neg, q3, 5, topK(s3, q3, 5), label+"/negative")
 
 	// Items containing a zero vector.
 	withZero := vec.NewMatrix(10, 3)
@@ -244,5 +240,5 @@ func CheckSearcherEdgeCases(t *testing.T, build func(items *vec.Matrix) search.S
 	}
 	s4 := build(withZero)
 	q4 := []float64{0.3, -0.7, 1.1}
-	CheckTopK(t, withZero, q4, 10, s4.Search(q4, 10), label+"/zero-item")
+	CheckTopK(t, withZero, q4, 10, topK(s4, q4, 10), label+"/zero-item")
 }

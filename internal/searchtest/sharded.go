@@ -27,7 +27,7 @@ var ShardCounts = []int{2, 3, 7}
 // build must return a searcher over its own index built from items with
 // the given shard count; shards == 1 must be supported and is the
 // reference.
-func CheckSharded(t *testing.T, build func(items *vec.Matrix, shards int) search.ContextSearcher, label string) {
+func CheckSharded(t *testing.T, build func(items *vec.Matrix, shards int) search.Searcher, label string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20260806))
 	cases := []struct{ n, d, k int }{
@@ -64,7 +64,7 @@ func CheckSharded(t *testing.T, build func(items *vec.Matrix, shards int) search
 	checkShardedQueries(t, build, zitems, [][]float64{zq}, 12, label+"/zero-query")
 }
 
-func checkShardedInstance(t *testing.T, build func(items *vec.Matrix, shards int) search.ContextSearcher, items *vec.Matrix, k, trials int, rng *rand.Rand, label string) {
+func checkShardedInstance(t *testing.T, build func(items *vec.Matrix, shards int) search.Searcher, items *vec.Matrix, k, trials int, rng *rand.Rand, label string) {
 	t.Helper()
 	queries := make([][]float64, trials)
 	for i := range queries {
@@ -77,21 +77,21 @@ func checkShardedInstance(t *testing.T, build func(items *vec.Matrix, shards int
 	checkShardedQueries(t, build, items, queries, k, label)
 }
 
-func checkShardedQueries(t *testing.T, build func(items *vec.Matrix, shards int) search.ContextSearcher, items *vec.Matrix, queries [][]float64, k int, label string) {
+func checkShardedQueries(t *testing.T, build func(items *vec.Matrix, shards int) search.Searcher, items *vec.Matrix, queries [][]float64, k int, label string) {
 	t.Helper()
 	ref := build(items, 1)
-	sharded := make(map[int]search.ContextSearcher, len(ShardCounts))
+	sharded := make(map[int]search.Searcher, len(ShardCounts))
 	for _, s := range ShardCounts {
 		sharded[s] = build(items, s)
 	}
 	for qi, q := range queries {
-		want, err := ref.SearchContext(context.Background(), q, k)
+		want, _, err := ref.SearchContext(context.Background(), q, k)
 		if err != nil {
 			t.Fatalf("%s: S=1 query %d: %v", label, qi, err)
 		}
 		topk.SortResults(want)
 		for _, s := range ShardCounts {
-			got, err := sharded[s].SearchContext(context.Background(), q, k)
+			got, _, err := sharded[s].SearchContext(context.Background(), q, k)
 			if err != nil {
 				t.Fatalf("%s: S=%d query %d: %v", label, s, qi, err)
 			}
@@ -119,11 +119,11 @@ func checkShardedQueries(t *testing.T, build func(items *vec.Matrix, shards int)
 // ErrDeadline-flagged partials whose scores are all true inner
 // products, and unfired hooks must leave results identical to the
 // uncancelled baseline.
-func CheckShardedCancellation(t *testing.T, build func(items *vec.Matrix, shards int) FaultSearcher, label string) {
+func CheckShardedCancellation(t *testing.T, build func(items *vec.Matrix, shards int) search.Searcher, label string) {
 	t.Helper()
 	for _, s := range ShardCounts {
 		s := s
-		CheckCancellation(t, func(items *vec.Matrix) FaultSearcher {
+		CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 			return build(items, s)
 		}, fmt.Sprintf("%s/S=%d", label, s))
 	}
@@ -132,11 +132,11 @@ func CheckShardedCancellation(t *testing.T, build func(items *vec.Matrix, shards
 // CheckShardedCancellationApprox is CheckShardedCancellation for
 // approximate searchers (PCA-Tree): the uncancelled baseline is not
 // compared against Naive but every other cancellation invariant holds.
-func CheckShardedCancellationApprox(t *testing.T, build func(items *vec.Matrix, shards int) FaultSearcher, label string) {
+func CheckShardedCancellationApprox(t *testing.T, build func(items *vec.Matrix, shards int) search.Searcher, label string) {
 	t.Helper()
 	for _, s := range ShardCounts {
 		s := s
-		CheckCancellationApprox(t, func(items *vec.Matrix) FaultSearcher {
+		CheckCancellationApprox(t, func(items *vec.Matrix) search.Searcher {
 			return build(items, s)
 		}, fmt.Sprintf("%s/S=%d", label, s))
 	}

@@ -100,9 +100,9 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 
 // shedLoad is the concurrency limiter: a buffered-channel semaphore of
 // Config.MaxConcurrent slots over the guarded routes. A request that
-// cannot take a slot immediately is shed with 429 and Retry-After — the
-// index mutex serializes search work anyway, so queueing beyond the
-// limit only grows tail latency.
+// cannot take a slot immediately is shed with 429 and Retry-After —
+// searches share the cores and every mutation waits for the searches
+// in flight, so queueing beyond the limit only grows tail latency.
 func (s *Server) shedLoad(next http.Handler) http.Handler {
 	if s.sem == nil {
 		return next

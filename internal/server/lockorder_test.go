@@ -27,12 +27,12 @@ import (
 
 // TestAcquisitionOrderUnderConcurrentLoad drives every lock in the
 // documented hierarchy at once, under -race: concurrent HTTP mutations
-// and searches (Server.mu → WAL.mu → faults.Hook.mu, Span.mu),
-// periodic Checkpoint calls, SIGHUP-triggered Reload (fexserve's
-// reload path), and a probe goroutine that explicitly walks the
-// declared outermost-first chain — Server.mu, then WAL and fault
-// registry leaves — exactly as `//fex:lockorder` above the Server
-// struct promises. A hierarchy inversion anywhere in these paths shows
+// (Server.mu → WAL.mu → faults.Hook.mu) and planner-routed searches
+// sharing the read lock (Server.mu → Planner.mu, Span.mu), periodic
+// Checkpoint calls, SIGHUP-triggered Reload (fexserve's reload path),
+// and a probe goroutine that explicitly walks the declared
+// outermost-first chain — Server.mu, then the WAL and planner leaves —
+// exactly as `//fex:lockorder` above the Server struct promises. A hierarchy inversion anywhere in these paths shows
 // up as a deadlock, so the whole run sits behind a watchdog that dumps
 // all stacks instead of letting `go test` hang to its global timeout.
 func TestAcquisitionOrderUnderConcurrentLoad(t *testing.T) {
@@ -53,6 +53,7 @@ func TestAcquisitionOrderUnderConcurrentLoad(t *testing.T) {
 		DataDir:         t.TempDir(),
 		CheckpointEvery: 16,
 		Faults:          reg,
+		Method:          "auto",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,9 @@ func TestAcquisitionOrderUnderConcurrentLoad(t *testing.T) {
 		}(w)
 	}
 
-	// Searchers: the span-recording read path (Server.mu → Span.mu).
+	// Searchers: the planner-routed read path under the shared lock
+	// (Server.mu → Planner.mu), plus /v1/plan, which takes only
+	// Planner.mu.
 	for r := 0; r < 4; r++ {
 		loadWG.Add(1)
 		go func(r int) {
@@ -132,6 +135,11 @@ func TestAcquisitionOrderUnderConcurrentLoad(t *testing.T) {
 					continue
 				}
 				resp.Body.Close()
+				if i%10 == 0 { // /v1/plan reads the planner without Server.mu
+					if resp, err := http.Get(ts.URL + "/v1/plan"); err == nil {
+						resp.Body.Close()
+					}
+				}
 			}
 		}(r)
 	}
@@ -169,7 +177,7 @@ func TestAcquisitionOrderUnderConcurrentLoad(t *testing.T) {
 			if s.wal != nil {
 				_ = s.wal.NextSeq() // WAL.mu under Server.mu
 			}
-			_ = reg.Counts() // faults.Registry.mu under Server.mu
+			_ = s.planner.Summary() // Planner.mu under Server.mu
 			s.mu.Unlock()
 			time.Sleep(time.Millisecond)
 		}

@@ -150,7 +150,7 @@ func (s *Server) checkpointLocked() error {
 	// The planner's learned cost calibration rides along with every
 	// checkpoint (plan.go): cheap to write, and a restart then resumes
 	// routing with converged coefficients instead of re-warming.
-	if err := s.savePlanCalibrationLocked(); err != nil {
+	if err := s.savePlanCalibration(); err != nil {
 		return fmt.Errorf("writing plan calibration: %w", err)
 	}
 	return nil
@@ -177,10 +177,20 @@ func (s *Server) ClosePersistence() error {
 // against a catalog that is about to be replaced wholesale: the
 // no-acknowledged-mutation-lost invariant is kept by refusing the ack,
 // not by replaying writes across epochs. The new matrix must keep the
-// serving dimensionality.
+// serving dimensionality. With the planner on (Config.Method "auto"),
+// opts must also keep the serving FEXIPRO variant: the planner's index
+// candidate carries that variant's name and registry cost prior from
+// construction, so a different variant is rejected rather than served
+// under the old label.
 func (s *Server) Reload(items *vec.Matrix, opts core.Options) error {
 	if items.Cols != s.dim {
 		return fmt.Errorf("server: reload matrix has %d dims, index serves %d", items.Cols, s.dim)
+	}
+	if s.planner != nil {
+		// The index candidate is first in pool order (initPlanner).
+		if serving := s.planner.Candidates()[0]; opts.Variant() != serving {
+			return fmt.Errorf("server: reload variant %s differs from the planner's serving variant %s", opts.Variant(), serving)
+		}
 	}
 	if !s.reloading.CompareAndSwap(false, true) {
 		return ErrReloading
@@ -201,18 +211,10 @@ func (s *Server) Reload(items *vec.Matrix, opts core.Options) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The searcher and the planner's candidates resolve s.idx per call,
+	// so the swap alone retargets them; the planner keeps its learned
+	// calibration (it describes the methods, not the items).
 	s.idx = idx
-	// The planner's candidates close over the replaced index; rebuild
-	// them over the new catalog, carrying the learned calibration across
-	// the epoch (the cost coefficients describe the methods, not the
-	// items, so they stay valid — and SizeFn re-reads the new Len).
-	if s.planner != nil {
-		cal := s.planner.Calibration()
-		if err := s.initPlannerLocked(opts); err != nil {
-			return err
-		}
-		s.planner.SetCalibration(cal)
-	}
 	s.items.Set(float64(idx.Len()))
 	// New epoch: the snapshot now holds the replacement catalog and the
 	// WAL restarts empty. Pre-reload records are superseded by design.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"fexipro/internal/method"
 	"fexipro/internal/obs"
 	"fexipro/internal/plan"
+	"fexipro/internal/search"
+	"fexipro/internal/topk"
 )
 
 // Query planning (DESIGN.md §16). With Config.Method == "auto" the
@@ -42,12 +45,26 @@ func validateMethod(m string) (string, error) {
 	return "", fmt.Errorf("server: unknown method %q (want \"fexipro\" or \"auto\")", m)
 }
 
-// initPlannerLocked builds (or rebuilds, after Reload) the planner over
-// the CURRENT s.idx. The candidate pool is the serving FEXIPRO variant
-// plus a live-catalog exhaustive scan; cost priors come from the method
-// registry and are corrected online. Callers hold s.mu or are still
-// single-goroutine (NewWithConfig).
-func (s *Server) initPlannerLocked(opts core.Options) error {
+// liveIndex and liveScan are the planner's candidates. They resolve
+// s.idx per call, so the planner built once at construction keeps
+// routing over whatever catalog Reload swapped in, with its learned
+// calibration intact. Callers hold s.mu for reading.
+type liveIndex struct{ s *Server }
+
+func (l liveIndex) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
+	return l.s.idx.SearchContext(ctx, q, k)
+}
+
+type liveScan struct{ s *Server }
+
+func (l liveScan) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
+	return core.NewLiveScan(l.s.idx).SearchContext(ctx, q, k)
+}
+
+// initPlanner builds the planner at construction. The candidate pool is
+// the serving FEXIPRO variant plus a live-catalog exhaustive scan; cost
+// priors come from the method registry and are corrected online.
+func (s *Server) initPlanner(opts core.Options) error {
 	variant := opts.Variant()
 	idxCost := method.CostModel{Setup: 6e-6, PerItem: 5e-10, PerDim: 1.1e-9, PrunePrior: 0.5}
 	if d, ok := method.Lookup(variant); ok {
@@ -57,15 +74,16 @@ func (s *Server) initPlannerLocked(opts core.Options) error {
 	if !ok {
 		return fmt.Errorf("server: method registry has no Naive descriptor")
 	}
-	idx := s.idx
 	cands := []plan.Candidate{
-		{Name: variant, Searcher: idx, Cost: idxCost, Exact: true},
-		{Name: naive.Name, Searcher: core.NewLiveScan(idx), Cost: naive.Cost, Exact: true},
+		{Name: variant, Searcher: liveIndex{s}, Cost: idxCost, Exact: true},
+		{Name: naive.Name, Searcher: liveScan{s}, Cost: naive.Cost, Exact: true},
 	}
 	p, err := plan.New(cands, plan.Options{
-		D:      idx.Dim(),
-		SizeFn: idx.Len, // the live catalog grows and shrinks under mutations
-		Shards: idx.Shards(), Workers: s.cfg.SearchWorkers,
+		D: s.dim,
+		// The live catalog grows and shrinks under mutations; SizeFn runs
+		// inside a search, under the caller's read lock.
+		SizeFn: func() int { return s.idx.Len() },
+		Shards: s.idx.Shards(), Workers: s.cfg.SearchWorkers,
 		OnDecision: s.notePlanDecision,
 	})
 	if err != nil {
@@ -115,9 +133,10 @@ func (s *Server) loadPlanCalibration() {
 	}
 }
 
-// savePlanCalibrationLocked persists the planner's effective cost
-// models during a checkpoint. Caller holds s.mu.
-func (s *Server) savePlanCalibrationLocked() error {
+// savePlanCalibration persists the planner's effective cost models
+// during a checkpoint. The planner guards its own state, so this needs
+// no s.mu.
+func (s *Server) savePlanCalibration() error {
 	if s.planner == nil || s.dataDir == "" {
 		return nil
 	}
@@ -139,10 +158,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			"query planner not enabled; start fexserve with -method auto")
 		return
 	}
-	s.mu.Lock()
-	sum := s.planner.Summary()
-	cal := s.planner.Calibration()
-	cands := s.planner.Candidates()
-	s.mu.Unlock()
-	writeJSON(w, planResponse{Mode: methodAuto, Candidates: cands, Summary: sum, Calibration: cal})
+	writeJSON(w, planResponse{
+		Mode:        methodAuto,
+		Candidates:  s.planner.Candidates(),
+		Summary:     s.planner.Summary(),
+		Calibration: s.planner.Calibration(),
+	})
 }

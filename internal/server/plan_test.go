@@ -234,3 +234,26 @@ func TestPlanCalibrationPersists(t *testing.T) {
 	_ = srv3.ClosePersistence()
 	_ = srv
 }
+
+// TestAutoReloadKeepsVariant: under the planner, Reload accepts a new
+// catalog built with the serving variant and rejects one built with a
+// different variant, whose name and cost prior the planner would not
+// reflect.
+func TestAutoReloadKeepsVariant(t *testing.T) {
+	srv, ts := newAutoServer(t, testItems(30, 4, 31), server.Config{})
+	if err := srv.Reload(testItems(40, 4, 32), core.Options{SVD: true}); err == nil {
+		t.Fatal("reload with a different variant accepted under the planner")
+	}
+	if err := srv.Reload(testItems(40, 4, 33), core.Options{SVD: true, Int: true, Reduction: true}); err != nil {
+		t.Fatalf("reload with the serving variant: %v", err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/plan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := decode[planResp](t, resp)
+	want := core.Options{SVD: true, Int: true, Reduction: true}.Variant()
+	if len(pr.Candidates) == 0 || pr.Candidates[0] != want {
+		t.Fatalf("planner candidates after reload %v, want %s first", pr.Candidates, want)
+	}
+}

@@ -16,11 +16,11 @@
 // the trace ID, latency, and — for search requests — k plus the
 // per-pruning-stage counters of the paper's Tables 3/7.
 //
-// The handler serializes index access with a mutex: FEXIPRO retrievers
-// are single-goroutine and the dynamic index mutates on writes. For
-// read-heavy deployments, run several replicas of the process or shard
-// by item range; the index itself is deterministic and rebuildable from
-// the factor file.
+// Index access goes through one read-write mutex. Searches keep no
+// state in the index — each returns its own stage counters and carries
+// its fault hook in the request context — so /v1/search and /v1/above
+// share the read lock and run concurrently; mutations, checkpoints and
+// Reload take it exclusively.
 package server
 
 import (
@@ -155,21 +155,27 @@ const (
 
 // Server is the HTTP handler set over one dynamic index.
 //
-// Lock hierarchy: Server.mu is the outermost lock. While holding it the
-// handlers append to the WAL, consult the fault registry, and record
-// span attributes — each of which takes its own (leaf) mutex. The
-// declarations below are enforced by fexlint's lockorder analyzer and
-// mirrored at runtime by TestAcquisitionOrderUnderConcurrentLoad;
-// never acquire Server.mu while holding any of these.
+// Lock hierarchy: Server.mu is the outermost lock. Searches hold it for
+// reading; mutations, checkpoints and Reload hold it exclusively. While
+// holding it the handlers append to the WAL, feed the planner, and
+// record span attributes — each of which takes its own (leaf) mutex.
+// The fault registry is read before the lock is taken. The declarations
+// below are enforced by fexlint's lockorder analyzer and mirrored at
+// runtime by TestAcquisitionOrderUnderConcurrentLoad; never acquire
+// Server.mu while holding any of these.
 //
 //fex:lockorder server.Server.mu < snap.WAL.mu
-//fex:lockorder server.Server.mu < faults.Registry.mu
+//fex:lockorder server.Server.mu < plan.Planner.mu
 //fex:lockorder server.Server.mu < faults.Hook.mu
 //fex:lockorder server.Server.mu < obs.Span.mu
 type Server struct {
-	mu  sync.Mutex
+	mu  sync.RWMutex
 	idx *core.DynamicIndex
-	dim int
+	// searcher answers /v1/search: the planner with Config.Method
+	// "auto", otherwise the index. Fixed at construction; both resolve
+	// s.idx per call, so Reload only swaps idx.
+	searcher search.Searcher
+	dim      int
 	// MaxK caps per-request k to bound response sizes (default 1000).
 	MaxK int
 
@@ -192,7 +198,8 @@ type Server struct {
 	uptime      *obs.Gauge
 	quantiles   []*obs.Gauge // one per obs.WindowQuantiles entry
 
-	// Query planner state (Config.Method == "auto"); nil otherwise.
+	// Query planner (Config.Method == "auto"); nil otherwise. Fixed at
+	// construction and guarded by its own mutex.
 	planner *plan.Planner
 
 	// Persistence state (see persist.go); wal is nil without DataDir.
@@ -360,11 +367,13 @@ func NewWithConfig(initial *vec.Matrix, opts core.Options, cfg Config) (*Server,
 
 	// Query planner (plan.go): built over the serving index, primed from
 	// any checkpointed calibration in the data directory.
+	s.searcher = liveIndex{s}
 	if cfg.Method == methodAuto {
-		if err := s.initPlannerLocked(opts); err != nil {
+		if err := s.initPlanner(opts); err != nil {
 			return nil, err
 		}
 		s.loadPlanCalibration()
+		s.searcher = s.planner
 	}
 	s.SetReady(true) // the index build above succeeded
 	return s, nil
@@ -608,25 +617,29 @@ func (s *Server) noteSearch(r *http.Request, k int, st search.Stats, took time.D
 	return sc
 }
 
-// searchLocked serializes index access around fn, releasing the mutex
-// even when an injected fault panics mid-scan (the deferred unlock is
-// what keeps a recovered panic from deadlocking every later request).
-// stats reads the per-query counters of whatever fn drove (the index,
-// or the planner's chosen candidate) while still under the lock. The
-// scan-site fault hook is re-read per call so tests can Enable or
-// Disable it between requests; it covers the planner's live-scan
-// candidate too (LiveScan shares the index's hook).
-func (s *Server) searchLocked(fn func() ([]topk.Result, error), stats func() search.Stats) ([]topk.Result, search.Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idx.SetFaultHook(s.cfg.Faults.Hook(faults.SiteScan))
-	// fn is always one index scan whose runtime is bounded by the
-	// request deadline: the context threaded into it fires ErrDeadline
-	// and the scan returns, so the hold time is capped by MaxTimeout.
-	//lint:ignore lockhold fn is a deadline-bounded index scan (DESIGN.md §10)
-	res, err := fn()
-	//lint:ignore lockhold stats copies in-memory counters; no blocking
-	return res, stats(), err
+// scanContext returns the request context carrying the scan-site fault
+// hook, read from the registry once per request so tests can Enable or
+// Disable it between requests.
+func (s *Server) scanContext(r *http.Request) context.Context {
+	return faults.WithHook(r.Context(), s.cfg.Faults.Hook(faults.SiteScan))
+}
+
+// search answers one top-k query under the shared read lock. The
+// deferred unlock keeps an injected panic mid-scan from wedging the
+// lock; the scan's hold time is bounded by the request deadline.
+func (s *Server) search(ctx context.Context, q []float64, k int) ([]topk.Result, search.Stats, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.searcher.SearchContext(ctx, q, k)
+}
+
+// above answers one above-threshold query under the shared read lock.
+// It always uses the index: the planner only arbitrates top-k, where
+// the scan-vs-index tradeoff is per query.
+func (s *Server) above(ctx context.Context, q []float64, t float64) ([]topk.Result, search.Stats, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.idx.SearchAboveContext(ctx, q, t)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -647,26 +660,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	r, root := s.traceStart(r, "search")
 	start := time.Now()
-	var dec plan.Decision
-	results, st, err := s.searchLocked(func() ([]topk.Result, error) {
-		if s.planner != nil {
-			res, serr := s.planner.SearchContext(r.Context(), req.Vector, req.K)
-			dec = s.planner.LastDecision() // still under s.mu: this query's decision
-			return res, serr
-		}
-		return s.idx.SearchContext(r.Context(), req.Vector, req.K)
-	}, func() search.Stats {
-		if s.planner != nil {
-			return s.planner.Stats()
-		}
-		return s.idx.Stats()
-	})
+	results, st, err := s.search(s.scanContext(r), req.Vector, req.K)
 	took := time.Since(start)
-	if s.planner != nil {
-		root.AttrStr("plan.method", dec.Method)
-		root.AttrStr("plan.reason", dec.Reason)
-		root.AttrInt("plan.predicted_us", int64(dec.Predicted*1e6))
-	}
 	sc := s.noteSearch(r, req.K, st, took)
 	s.traceFinish(r, root, "search", req.K, took, err == nil, &sc)
 	if !s.deadlineOK(w, r, err) {
@@ -695,11 +690,7 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 	}
 	r, root := s.traceStart(r, "above")
 	start := time.Now()
-	// Above-threshold retrieval always uses the index: the planner only
-	// arbitrates top-k, where the scan-vs-index tradeoff is per query.
-	results, st, err := s.searchLocked(func() ([]topk.Result, error) {
-		return s.idx.SearchAboveContext(r.Context(), req.Vector, *req.Threshold)
-	}, func() search.Stats { return s.idx.Stats() })
+	results, st, err := s.above(s.scanContext(r), req.Vector, *req.Threshold)
 	took := time.Since(start)
 	sc := s.noteSearch(r, 0, st, took)
 	s.traceFinish(r, root, "above", 0, took, err == nil, &sc)
@@ -815,10 +806,10 @@ func (s *Server) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	n := s.idx.Len()
-	s.mu.Unlock()
-	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": s.idx.Shards(), "method": s.cfg.Method})
+	s.mu.RLock()
+	n, shards := s.idx.Len(), s.idx.Shards()
+	s.mu.RUnlock()
+	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": shards, "method": s.cfg.Method})
 }
 
 func toResultsJSON(rs []topk.Result) []resultJSON {

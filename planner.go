@@ -63,9 +63,13 @@ type PlanSummary struct {
 // per-method cost model online from observed latencies and pruning
 // fractions. Results are always produced by a real registered method —
 // the planner never computes scores — so exactness is untouched: a
-// mispredicted plan is slow, never wrong.
+// mispredicted plan is slow, never wrong. The handle keeps its last
+// query's stats and decision for LastStats and LastDecision, so it
+// serves one goroutine at a time.
 type Planner struct {
-	p *plan.Planner
+	p    *plan.Planner
+	last search.Stats
+	dec  plan.Decision
 }
 
 // NewPlanner builds the candidate pool and the planner over it.
@@ -90,7 +94,7 @@ func NewPlanner(items *Matrix, o PlannerOptions) (*Planner, error) {
 		}
 		cands = append(cands, plan.Candidate{
 			Name:     d.Name,
-			Searcher: search.WithContext(s),
+			Searcher: s,
 			Cost:     d.Cost,
 			Exact:    d.Exact,
 		})
@@ -108,24 +112,26 @@ func NewPlanner(items *Matrix, o PlannerOptions) (*Planner, error) {
 
 // Search implements Searcher by routing to the planned method.
 func (p *Planner) Search(q []float64, k int) []Result {
-	return convertResults(p.p.Search(q, k))
+	res, _ := p.SearchContext(context.Background(), q, k)
+	return res
 }
 
 // SearchContext implements Searcher: cancellation returns the chosen
 // method's best-so-far partial results with an ErrDeadline-wrapping
 // error, exactly as if that method had been called directly.
 func (p *Planner) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
-	res, err := p.p.SearchContext(ctx, q, k)
+	res, st, d, err := p.p.Route(ctx, q, k)
+	p.last, p.dec = st, d
 	return convertResults(res), err
 }
 
 // LastStats implements Searcher: the stage counters of the method the
 // last query was routed to, unchanged.
-func (p *Planner) LastStats() Stats { return convertStats(p.p.Stats()) }
+func (p *Planner) LastStats() Stats { return convertStats(p.last) }
 
 // LastDecision reports the most recent query's plan.
 func (p *Planner) LastDecision() PlanDecision {
-	d := p.p.LastDecision()
+	d := p.dec
 	return PlanDecision{
 		Method: d.Method, Reason: d.Reason,
 		PredictedSeconds: d.Predicted, ObservedSeconds: d.Observed,

@@ -44,13 +44,14 @@ type Options struct {
 // single-threaded query executor (or, with Options.Shards > 1, a
 // sharded execution engine that answers each query with a bounded
 // worker pool and merges per-shard heaps into the exact canonical
-// top-k; see DESIGN.md §11). For concurrent querying, share the index
-// via Clone-free Retriever() calls: each executor owns independent
-// scratch state.
+// top-k; see DESIGN.md §11). A handle serves one goroutine at a time:
+// it reuses query scratch and keeps its last call's stats for
+// LastStats. For concurrent querying, share the index via Clone-free
+// Retriever() calls: each executor owns independent scratch state.
 type FEXIPRO struct {
+	wrap    // answers Search: r, or with Shards > 1 the engine
 	idx     *core.Index
-	r       *core.Retriever // Shards ≤ 1 path
-	eng     *engine.Engine  // Shards > 1 path (nil otherwise)
+	r       *core.Retriever // SearchAbove's executor
 	shards  int
 	workers int
 }
@@ -74,42 +75,20 @@ func New(items *Matrix, opts Options) (*FEXIPRO, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newFEXIPRO(idx, opts.Shards, opts.Workers), nil
+}
+
+func newFEXIPRO(idx *core.Index, shards, workers int) *FEXIPRO {
 	// The sequential retriever is always present: SearchAbove has no
 	// sharded path, and with Shards ≤ 1 it also answers Search.
-	f := &FEXIPRO{idx: idx, r: core.NewRetriever(idx), shards: 1, workers: opts.Workers}
-	if opts.Shards > 1 {
-		kern := core.NewSharded(idx, opts.Shards)
+	f := &FEXIPRO{idx: idx, r: core.NewRetriever(idx), shards: 1, workers: workers}
+	f.s = f.r
+	if shards > 1 {
+		kern := core.NewSharded(idx, shards)
 		f.shards = kern.Shards() // clamped to the item count
-		f.eng = engine.New(kern, opts.Workers)
+		f.s = engine.New(kern, workers)
 	}
-	return f, nil
-}
-
-// Search implements Searcher.
-func (f *FEXIPRO) Search(q []float64, k int) []Result {
-	if f.eng != nil {
-		return convertResults(f.eng.Search(q, k))
-	}
-	return convertResults(f.r.Search(q, k))
-}
-
-// SearchContext implements Searcher: on cancellation it returns the
-// best-so-far partial top-k and an ErrDeadline-wrapping error.
-func (f *FEXIPRO) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
-	if f.eng != nil {
-		res, err := f.eng.SearchContext(ctx, q, k)
-		return convertResults(res), err
-	}
-	res, err := f.r.SearchContext(ctx, q, k)
-	return convertResults(res), err
-}
-
-// LastStats implements Searcher.
-func (f *FEXIPRO) LastStats() Stats {
-	if f.eng != nil {
-		return convertStats(f.eng.Stats())
-	}
-	return convertStats(f.r.Stats())
+	return f
 }
 
 // Retriever returns an additional query executor sharing this index;
@@ -117,9 +96,9 @@ func (f *FEXIPRO) LastStats() Stats {
 // inherits the instance's shard configuration.
 func (f *FEXIPRO) Retriever() Searcher {
 	if f.shards > 1 {
-		return wrap{s: engine.New(core.NewSharded(f.idx, f.shards), f.workers)}
+		return &wrap{s: engine.New(core.NewSharded(f.idx, f.shards), f.workers)}
 	}
-	return wrap{s: core.NewRetriever(f.idx)}
+	return &wrap{s: core.NewRetriever(f.idx)}
 }
 
 // Shards reports the number of index shards answering each query (1 for
@@ -129,10 +108,10 @@ func (f *FEXIPRO) Shards() int { return f.shards }
 // SearchWorkers reports the effective per-query worker-pool size (1 for
 // the classic sequential scan).
 func (f *FEXIPRO) SearchWorkers() int {
-	if f.eng == nil {
-		return 1
+	if e, ok := f.s.(*engine.Engine); ok {
+		return e.Workers()
 	}
-	return f.eng.Workers()
+	return 1
 }
 
 // W reports the checking dimension chosen during preprocessing.
@@ -216,7 +195,7 @@ func NewMethod(name string, items *Matrix, o MethodOptions) (Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrap{s: s}, nil
+	return &wrap{s: s}, nil
 }
 
 // builtin builds a registry method whose descriptor cannot fail for a
@@ -233,13 +212,13 @@ func builtin(name string, items *vec.Matrix, o method.BuildOptions) search.Searc
 // NewNaive returns the exhaustive-scan baseline (items referenced, not
 // copied; do not mutate afterwards).
 func NewNaive(items *Matrix) Searcher {
-	return wrap{s: builtin("Naive", items.m, method.BuildOptions{})}
+	return &wrap{s: builtin("Naive", items.m, method.BuildOptions{})}
 }
 
 // NewSS returns the Cauchy–Schwarz sorted scan with incremental pruning
 // at checking dimension w (0 = default d/5).
 func NewSS(items *Matrix, w int) Searcher {
-	return wrap{s: builtin("SS", items.m, method.BuildOptions{W: w})}
+	return &wrap{s: builtin("SS", items.m, method.BuildOptions{W: w})}
 }
 
 // NewSSL returns SS-L, the LEMP-style normalized-vector scan baseline.
@@ -249,29 +228,33 @@ func NewSSL(items *Matrix, sampleQueries *Matrix) Searcher {
 	if sampleQueries != nil {
 		o.SampleQueries = sampleQueries.m
 	}
-	return wrap{s: builtin("SS-L", items.m, o)}
+	return &wrap{s: builtin("SS-L", items.m, o)}
 }
 
 // NewBallTree returns the BallTree exact MIPS baseline of Ram & Gray
 // (leafSize 0 = the paper's 20).
 func NewBallTree(items *Matrix, leafSize int) Searcher {
-	return wrap{s: builtin("BallTree", items.m, method.BuildOptions{LeafSize: leafSize})}
+	return &wrap{s: builtin("BallTree", items.m, method.BuildOptions{LeafSize: leafSize})}
 }
 
 // NewFastMKS returns the cover-tree max-kernel baseline (leafSize 0 =
 // default 20).
 func NewFastMKS(items *Matrix, leafSize int) Searcher {
-	return wrap{s: builtin("FastMKS", items.m, method.BuildOptions{LeafSize: leafSize})}
+	return &wrap{s: builtin("FastMKS", items.m, method.BuildOptions{LeafSize: leafSize})}
 }
 
 // NewPCATree returns the APPROXIMATE PCA-tree baseline of Bachrach et
 // al.; spillFraction > 0 trades speed for quality.
 func NewPCATree(items *Matrix, leafSize int, spillFraction float64) Searcher {
-	return wrap{s: builtin("PCATree", items.m, method.BuildOptions{LeafSize: leafSize, SpillFraction: spillFraction})}
+	return &wrap{s: builtin("PCATree", items.m, method.BuildOptions{LeafSize: leafSize, SpillFraction: spillFraction})}
 }
 
-// LEMP is the batch top-k join engine (Teflioudi et al.).
+// LEMP is the batch top-k join engine (Teflioudi et al.). Like every
+// public handle it keeps its last call's stats for LastStats (for the
+// batch calls, summed over the batch), so it serves one goroutine at a
+// time.
 type LEMP struct {
+	wrap
 	idx *lemp.Index
 }
 
@@ -284,23 +267,9 @@ func NewLEMP(items *Matrix, bucketSize int, sampleQueries *Matrix) *LEMP {
 	}
 	// The registry returns LEMP as a generic Searcher; the public LEMP
 	// type keeps the concrete index for its batch TopKJoin API.
-	return &LEMP{idx: builtin("LEMP", items.m, o).(*lemp.Index)}
+	idx := builtin("LEMP", items.m, o).(*lemp.Index)
+	return &LEMP{wrap: wrap{s: idx}, idx: idx}
 }
-
-// Search implements Searcher for a single query.
-func (l *LEMP) Search(q []float64, k int) []Result {
-	return convertResults(l.idx.Search(q, k))
-}
-
-// SearchContext implements Searcher: on cancellation it returns the
-// best-so-far partial top-k and an ErrDeadline-wrapping error.
-func (l *LEMP) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
-	res, err := l.idx.SearchContext(ctx, q, k)
-	return convertResults(res), err
-}
-
-// LastStats implements Searcher.
-func (l *LEMP) LastStats() Stats { return convertStats(l.idx.Stats()) }
 
 // TopKJoin returns the top-k list for every query row.
 func (l *LEMP) TopKJoin(queries *Matrix, k int) [][]Result {
@@ -315,7 +284,8 @@ func (l *LEMP) TopKJoin(queries *Matrix, k int) [][]Result {
 // keeps its best-so-far partial) together with an ErrDeadline-wrapping
 // error. A nil error flags every list as exact.
 func (l *LEMP) TopKJoinContext(ctx context.Context, queries *Matrix, k, workers int) ([][]Result, error) {
-	raw, err := l.idx.TopKJoinContext(ctx, queries.m, k, workers)
+	raw, st, err := l.idx.TopKJoinContext(ctx, queries.m, k, workers)
+	l.last = st
 	if raw == nil {
 		return nil, err
 	}

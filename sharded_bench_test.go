@@ -12,6 +12,7 @@
 package fexipro_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -43,8 +44,8 @@ func BenchmarkShardedSearch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				full = 0
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
-					built.Searcher.Search(ds.Queries.Row(qi), k)
-					full += built.Searcher.Stats().FullProducts
+					_, st, _ := built.Searcher.SearchContext(context.Background(), ds.Queries.Row(qi), k)
+					full += st.FullProducts
 				}
 			}
 			b.ReportMetric(float64(full)/float64(ds.Queries.Rows), "fullIP/query")
