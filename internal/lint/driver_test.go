@@ -232,136 +232,6 @@ func TestFixIdempotency(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip pins the baseline workflow: write findings,
-// reload, suppress exactly those findings, and keep everything new.
-func TestBaselineRoundTrip(t *testing.T) {
-	units := loadFixture(t, "lockhold")
-	diags := Run(units, []*Analyzer{LockHold})
-	if len(diags) == 0 {
-		t.Fatal("lockhold fixture produced no diagnostics")
-	}
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "lockhold"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, root, diags); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Entries) == 0 {
-		t.Fatal("baseline round-trip lost all entries")
-	}
-	for _, e := range b.Entries {
-		if filepath.IsAbs(e.File) || strings.Contains(e.File, "\\") {
-			t.Fatalf("baseline file key %q is not module-relative slash form", e.File)
-		}
-	}
-
-	kept, suppressed := b.Filter(root, diags)
-	if len(kept) != 0 {
-		t.Fatalf("full baseline kept %d diagnostics: %v", len(kept), kept)
-	}
-	if suppressed != len(diags) {
-		t.Fatalf("suppressed %d of %d", suppressed, len(diags))
-	}
-
-	// A fresh diagnostic (message outside the baseline) must be kept.
-	extra := diags[0]
-	extra.Message = "definitely new finding"
-	kept, suppressed = b.Filter(root, append(append([]Diagnostic{}, diags...), extra))
-	if len(kept) != 1 || kept[0].Message != "definitely new finding" {
-		t.Fatalf("baseline failed to keep the new finding: kept=%v", kept)
-	}
-	if suppressed != len(diags) {
-		t.Fatalf("suppressed %d of %d", suppressed, len(diags))
-	}
-
-	// Count budgets: one entry absorbs Count findings, no more.
-	two := []Diagnostic{diags[0], diags[0]}
-	one := &Baseline{Entries: []BaselineEntry{{
-		Analyzer: diags[0].Analyzer,
-		File:     relPath(root, diags[0].File),
-		Message:  diags[0].Message,
-		Count:    1,
-	}}}
-	kept, suppressed = one.Filter(root, two)
-	if len(kept) != 1 || suppressed != 1 {
-		t.Fatalf("count budget: kept %d suppressed %d, want 1/1", len(kept), suppressed)
-	}
-
-	// Missing baseline file behaves as empty.
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, suppressed = empty.Filter(root, diags)
-	if len(kept) != len(diags) || suppressed != 0 {
-		t.Fatalf("missing baseline suppressed %d diagnostics", suppressed)
-	}
-}
-
-// TestBaselineDead exercises rot detection: entries whose findings no
-// longer fire surface through Dead with the unused count, and a fully
-// live baseline reports none.
-func TestBaselineDead(t *testing.T) {
-	units := loadFixture(t, "lockhold")
-	diags := Run(units, []*Analyzer{LockHold})
-	if len(diags) == 0 {
-		t.Fatal("lockhold fixture produced no diagnostics")
-	}
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "lockhold"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, root, diags); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Every entry is backed by a live finding: no rot.
-	if dead := b.Dead(root, diags); len(dead) != 0 {
-		t.Fatalf("fully live baseline reported dead entries: %v", dead)
-	}
-
-	// Drop one finding: exactly its entry (count 1) must go dead.
-	dead := b.Dead(root, diags[1:])
-	if len(dead) != 1 || dead[0].Count != 1 {
-		t.Fatalf("dropping one finding: dead=%v, want one entry with count 1", dead)
-	}
-	gone := diags[0]
-	if dead[0].Analyzer != gone.Analyzer || dead[0].Message != gone.Message ||
-		dead[0].File != relPath(root, gone.File) {
-		t.Fatalf("dead entry %+v does not match dropped finding %+v", dead[0], gone)
-	}
-
-	// An inflated count goes partially dead: only the unused portion.
-	inflated := &Baseline{Entries: []BaselineEntry{{
-		Analyzer: gone.Analyzer,
-		File:     relPath(root, gone.File),
-		Message:  gone.Message,
-		Count:    3,
-	}}}
-	dead = inflated.Dead(root, []Diagnostic{gone})
-	if len(dead) != 1 || dead[0].Count != 2 {
-		t.Fatalf("inflated count: dead=%v, want one entry with count 2", dead)
-	}
-
-	// Empty and nil baselines never report rot.
-	if dead := (&Baseline{}).Dead(root, nil); dead != nil {
-		t.Fatalf("empty baseline reported dead entries: %v", dead)
-	}
-}
-
 // TestRunTimed checks the -timings data source: one Timing per
 // analyzer in registration order, with identical diagnostics to Run.
 func TestRunTimed(t *testing.T) {

@@ -23,7 +23,7 @@ type ownedEdit struct {
 // before anything is written. Returns the files rewritten, sorted. Fix
 // application is idempotent by construction: a fixed site no longer
 // produces the diagnostic, so a second -fix pass sees no edits
-// (`make lint-fix-check` asserts exactly this).
+// (TestFixIdempotency asserts exactly this).
 func ApplyFixes(diags []Diagnostic) ([]string, error) {
 	perFile := make(map[string][]ownedEdit)
 	for _, d := range diags {

@@ -20,7 +20,6 @@ var fixtureCases = []struct {
 	{StageCounters, "stagecounters_nototal"},
 	{RNGSeed, "rngseed"},
 	{ErrCheck, "errcheck"},
-	{MutCopy, "mutcopy"},
 	{CtxPoll, "ctxpoll"},
 	{KernelContract, "kernelcontract"},
 	{KernelContract, "kernelcontract_uncovered"},
@@ -29,9 +28,10 @@ var fixtureCases = []struct {
 	{GoroutineLife, "goroutinelife"},
 	{GuardedBy, "guardedby"},
 	{HotAlloc, "hotalloc"},
-	{APIParity, "apiparity"},
 	{BoundFlow, "boundflow"},
-	{RegistryCover, "registrycover"},
+	// Directive validation runs with every analyzer set; floatcmp
+	// supplies the findings the directives try to suppress.
+	{FloatCmp, "ignoredirective"},
 }
 
 // want is one expectation parsed from a `// want` comment.
@@ -44,14 +44,22 @@ type want struct {
 
 var wantRx = regexp.MustCompile("`([^`]*)`|\"([^\"]*)\"")
 
-// parseWants extracts `// want` expectations from a unit's files.
+// parseWants extracts `// want` expectations from a unit's files. A
+// want may also be a `/* want ... */` block comment, for lines whose
+// own line comment is the code under test (a //lint:ignore directive).
 func parseWants(t *testing.T, u *Unit) []*want {
 	t.Helper()
 	var wants []*want
 	for _, f := range u.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text := c.Text
+				if block, ok := strings.CutPrefix(text, "/*"); ok {
+					text = strings.TrimSuffix(block, "*/")
+				} else {
+					text = strings.TrimPrefix(text, "//")
+				}
+				text = strings.TrimSpace(text)
 				rest, ok := strings.CutPrefix(text, "want ")
 				if !ok {
 					continue
@@ -83,8 +91,8 @@ func parseWants(t *testing.T, u *Unit) []*want {
 }
 
 // loadFixture type-checks one fixture tree (recursively, so multi-
-// package fixtures like apiparity's lib + cmd/apx layout work) and
-// fails the test on any load or type error.
+// package fixtures like lockorder's work) and fails the test on any
+// load or type error.
 func loadFixture(t *testing.T, fixture string) []*Unit {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", fixture))
@@ -201,8 +209,8 @@ func TestSuppression(t *testing.T) {
 // TestAnalyzerRegistry checks All()/ByName round-trips.
 func TestAnalyzerRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 15 {
-		t.Fatalf("expected 15 analyzers, got %d", len(all))
+	if len(all) != 12 {
+		t.Fatalf("expected 12 analyzers, got %d", len(all))
 	}
 	names := make([]string, len(all))
 	for i, a := range all {

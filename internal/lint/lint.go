@@ -16,8 +16,6 @@
 //     reproducibility);
 //   - errcheck:      no silently discarded error results outside the
 //     explicit `_ =` and `defer Close` idioms;
-//   - mutcopy:       no by-value copies of types holding sync primitives
-//     or atomic fields, and no mixed atomic/plain access to a field;
 //   - ctxpoll:       every item-scan loop reachable from a SearchContext
 //     / kernel Scan entry point must poll cancellation on a CheckStride
 //     boundary (DESIGN.md §10: scans must stay cancellable);
@@ -30,17 +28,10 @@
 //     holding a mutex;
 //   - hotalloc:      no allocations, interface boxing, or closure
 //     captures inside loops marked //fex:hot;
-//   - apiparity:     exported Search ⇄ SearchContext (and SearchAbove ⇄
-//     SearchAboveContext) parity on every searcher, and every
-//     server/experiments Config field must be wired to a cmd flag.
 //   - boundflow:     dataflow taint over internal/lint/flow CFGs —
 //     values from //fex:bound upper-bound computations may only reach
 //     strictly-conservative threshold comparisons, with bound-fn facts
 //     carrying the taint across package boundaries.
-//   - registrycover: every method.Descriptor registered with a NewKernel
-//     factory must route to a kernel whose package has a sharded_test.go
-//     invoking searchtest.CheckSharded — the planner may only choose
-//     among harness-covered methods (DESIGN.md §16).
 //   - lockorder:     whole-program lock-order graph over the static call
 //     graph: every nested acquisition must be declared with
 //     //fex:lockorder A < B, contradictions of the declared hierarchy
@@ -60,15 +51,16 @@
 // optional whole-program module phase over the facts the unit passes
 // exported (Pass.ExportFact → Analyzer.RunModule). Analyzers may attach
 // machine-applicable suggested fixes to diagnostics; `fexlint -fix`
-// applies them. A baseline file supports incremental adoption: known
-// findings recorded in the baseline are suppressed (and counted) until
-// fixed.
+// applies them.
 //
-// Diagnostics can be suppressed per line with
+// The only way to suppress a diagnostic is a per-line directive
 //
-//	//lint:ignore <analyzer> reason
+//	//lint:ignore <analyzer>[,<analyzer>...] reason
 //
-// placed on the flagged line or on the line immediately above it.
+// placed on the flagged line or on the line immediately above it. The
+// reason is part of the contract: a directive that names no analyzer,
+// names one that is not registered, or gives no reason is itself
+// reported, so a suppression cannot outlive the analyzer it silences.
 package lint
 
 import (
@@ -77,6 +69,7 @@ import (
 	"go/token"
 	"go/types"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -130,8 +123,7 @@ type Fact struct {
 	// Analyzer is the exporting analyzer's name; module passes only see
 	// their own facts.
 	Analyzer string
-	// Name classifies the fact (e.g. "kernel", "checksharded",
-	// "config-field", "config-field-set").
+	// Name classifies the fact (e.g. "kernel", "checksharded").
 	Name string
 	// Value carries the payload (e.g. a type name or field key).
 	Value string
@@ -151,7 +143,7 @@ type Analyzer struct {
 	Run func(pass *Pass)
 	// RunModule, when non-nil, runs once after every unit pass has
 	// completed, over the facts this analyzer exported. Cross-package
-	// contracts (test-coverage requirements, flag parity) live here.
+	// contracts (test-coverage requirements, lock order) live here.
 	RunModule func(mp *ModulePass)
 }
 
@@ -274,8 +266,9 @@ func (mp *ModulePass) report(pos token.Position, fixes []SuggestedFix, format st
 
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
-	line      int
-	analyzers []string // empty or "*" entry means all analyzers
+	pos       token.Position
+	analyzers []string
+	hasReason bool
 }
 
 // parseIgnores extracts //lint:ignore directives from a file.
@@ -289,7 +282,7 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
 				continue
 			}
 			fields := strings.Fields(text)
-			d := ignoreDirective{line: fset.Position(c.Pos()).Line}
+			d := ignoreDirective{pos: fset.Position(c.Pos()), hasReason: len(fields) >= 3}
 			if len(fields) >= 2 {
 				d.analyzers = strings.Split(fields[1], ",")
 			}
@@ -304,19 +297,61 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
 // on the line immediately above).
 func (u *Unit) suppressed(analyzer string, pos token.Position) bool {
 	for _, d := range u.ignores[pos.Filename] {
-		if d.line != pos.Line && d.line != pos.Line-1 {
+		if d.pos.Line != pos.Line && d.pos.Line != pos.Line-1 {
 			continue
 		}
-		if len(d.analyzers) == 0 {
+		if slices.Contains(d.analyzers, analyzer) {
 			return true
-		}
-		for _, a := range d.analyzers {
-			if a == analyzer || a == "*" {
-				return true
-			}
 		}
 	}
 	return false
+}
+
+// ignoreAnalyzer is the Analyzer field of diagnostics about malformed
+// //lint:ignore directives. These diagnostics bypass suppression: a
+// directive cannot excuse another directive.
+const ignoreAnalyzer = "lint:ignore"
+
+// checkIgnores reports every //lint:ignore directive in units that
+// names no analyzer, names one that is not registered, or gives no
+// reason. Names are checked against All(), not the analyzers selected
+// for this run, so a directive for a deleted analyzer fails every run
+// instead of silently suppressing nothing.
+func checkIgnores(units []*Unit) []Diagnostic {
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	var out []Diagnostic
+	report := func(d ignoreDirective, format string, args ...any) {
+		out = append(out, Diagnostic{
+			Analyzer: ignoreAnalyzer,
+			Pos:      d.pos,
+			File:     d.pos.Filename,
+			Line:     d.pos.Line,
+			Col:      d.pos.Column,
+			Message:  fmt.Sprintf(format, args...),
+		})
+	}
+	for _, u := range units {
+		for _, ds := range u.ignores {
+			for _, d := range ds {
+				if len(d.analyzers) == 0 {
+					report(d, "directive names no analyzer; write //lint:ignore <analyzer> reason")
+					continue
+				}
+				for _, a := range d.analyzers {
+					if !known[a] {
+						report(d, "directive names unknown analyzer %q, so it suppresses nothing; delete it or name a registered analyzer", a)
+					}
+				}
+				if !d.hasReason {
+					report(d, "directive gives no reason; say why the finding is safe to ignore")
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Run executes the analyzers over every unit — unit passes in parallel,
@@ -416,6 +451,7 @@ func RunTimed(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 		a.RunModule(mp)
 		timings[ai].Module = time.Since(start)
 	}
+	out = append(out, checkIgnores(units)...)
 
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -443,14 +479,11 @@ func All() []*Analyzer {
 		StageCounters,
 		RNGSeed,
 		ErrCheck,
-		MutCopy,
 		CtxPoll,
 		KernelContract,
 		LockHold,
 		HotAlloc,
-		APIParity,
 		BoundFlow,
-		RegistryCover,
 		LockOrder,
 		GoroutineLife,
 		GuardedBy,

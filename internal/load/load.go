@@ -86,7 +86,6 @@ type Config struct {
 
 	// Client overrides the HTTP client (tests); nil builds one from
 	// Timeout.
-	//lint:ignore apiparity test-only injection surface, deliberately unreachable from flags
 	Client *http.Client
 
 	// ownsClient marks a Client that applyDefaults built: Run closes

@@ -138,9 +138,9 @@ type Descriptor struct {
 	// Build constructs the sequential searcher.
 	Build func(items *vec.Matrix, o BuildOptions) (search.Searcher, error)
 	// NewKernel constructs the sharded-execution kernel (shards ≥ 2).
-	// Every registered method must provide one; the registrycover lint
-	// check additionally demands CheckSharded coverage for the kernel's
-	// package.
+	// Every registered method must provide one, and
+	// TestEveryMethodBuildsAndSearches requires its sharded answer to
+	// equal the sequential one exactly.
 	NewKernel func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error)
 
 	// Cost is the method's prior cost model (see CostModel).

@@ -56,10 +56,12 @@ func TestExactExcludesPCATree(t *testing.T) {
 }
 
 // TestEveryMethodBuildsAndSearches builds each registered method both
-// sequentially and sharded over a tiny dataset and checks the top-k
-// against the exhaustive scan (exact methods only; PCATree just has to
-// answer). This is the registry-level round-trip; the experiments
-// package repeats it through RunMethodSharded.
+// sequentially (S=1) and sharded (S=3) over a tiny dataset. For every
+// method, PCATree included, the sharded answer must equal the
+// sequential one exactly: same IDs, same scores, bit for bit. Exact
+// methods must also match the exhaustive scan. This is the
+// registry-level round-trip; the experiments package repeats it through
+// RunMethodSharded.
 func TestEveryMethodBuildsAndSearches(t *testing.T) {
 	p, err := data.ProfileByName("movielens")
 	if err != nil {
@@ -72,28 +74,38 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 5
+	ctx := context.Background()
 	for _, name := range Names() {
-		for _, shards := range []int{1, 3} {
-			s, err := Sharded(name, ds.Items, o, shards, 2)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
+		d, _ := Lookup(name)
+		seq, err := Sharded(name, ds.Items, o, 1, 2)
+		if err != nil {
+			t.Fatalf("%s shards=1: %v", name, err)
+		}
+		sharded, err := Sharded(name, ds.Items, o, 3, 2)
+		if err != nil {
+			t.Fatalf("%s shards=3: %v", name, err)
+		}
+		for qi := 0; qi < ds.Queries.Rows; qi++ {
+			q := ds.Queries.Row(qi)
+			one, _, _ := seq.SearchContext(ctx, q, k)
+			three, _, _ := sharded.SearchContext(ctx, q, k)
+			if len(one) != k || len(three) != k {
+				t.Fatalf("%s q%d: %d (S=1) and %d (S=3) results, want %d", name, qi, len(one), len(three), k)
 			}
-			d, _ := Lookup(name)
-			for qi := 0; qi < ds.Queries.Rows; qi++ {
-				q := ds.Queries.Row(qi)
-				got, _, _ := s.SearchContext(context.Background(), q, k)
-				if len(got) != k {
-					t.Fatalf("%s shards=%d q%d: %d results, want %d", name, shards, qi, len(got), k)
+			for i := range one {
+				if one[i] != three[i] {
+					t.Fatalf("%s q%d r%d: S=3 %d:%g differs from S=1 %d:%g",
+						name, qi, i, three[i].ID, three[i].Score, one[i].ID, one[i].Score)
 				}
-				if !d.Exact {
-					continue
-				}
-				want, _, _ := ref.SearchContext(context.Background(), q, k)
-				for i := range want {
-					if got[i].ID != want[i].ID || !approxEq(got[i].Score, want[i].Score) {
-						t.Fatalf("%s shards=%d q%d r%d: got %d:%g want %d:%g",
-							name, shards, qi, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-					}
+			}
+			if !d.Exact {
+				continue
+			}
+			want, _, _ := ref.SearchContext(ctx, q, k)
+			for i := range want {
+				if one[i].ID != want[i].ID || !approxEq(one[i].Score, want[i].Score) {
+					t.Fatalf("%s q%d r%d: got %d:%g want %d:%g",
+						name, qi, i, one[i].ID, one[i].Score, want[i].ID, want[i].Score)
 				}
 			}
 		}

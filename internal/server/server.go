@@ -79,7 +79,6 @@ type Config struct {
 	// Faults, when non-nil, is consulted per request for injected faults
 	// at the faults.SiteServerSearch / SiteServerMutate / SiteScan sites.
 	// Production servers leave it nil, which costs one nil check.
-	//lint:ignore apiparity test-only injection surface, deliberately unreachable from flags
 	Faults *faults.Registry
 
 	// Method selects the retrieval strategy for /v1/search. Empty or
